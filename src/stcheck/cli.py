@@ -187,6 +187,9 @@ def main(argv=None) -> int:
     except StcheckError as exc:
         print(f"stcheck: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        print("stcheck: error: input is nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,10 +12,24 @@ All four decide the same relation:
 * ``allpairs``   -- the full pair grid with a backward sweep from the
   inconsistent pairs; yields verdicts for every pair of subterms at once.
 
-Pair moves follow a four-way simulation discipline: termination, payload
-and continuation moves of the left side must be matched by the right,
-branching follows the left side's labels, selection follows the right
-side's labels, and output payloads swap the pair (contravariance).
+The subtyping rules are written once, in :func:`_step`.  It maps a pair
+to ``None`` when the pair is inconsistent (different head constructors,
+different payload arities, a branching label of the left or a selection
+label of the right missing on the other side) and otherwise to the
+matched moves, which are the premises of the rule.  Output payloads swap
+the pair (contravariance); ``end``/``end`` steps to the terminal pair
+``(SKIP, SKIP)``, which has no moves.
+
+The searches visit the moves in two orders, and both are kept because the
+counters they produce are pinned by the tests and the benchmark:
+
+* ``inductive`` and ``memoized`` visit them in rule order, payloads
+  before the continuation, and never visit the terminal pair: in the
+  syntactic rules ``end``/``end`` is an axiom, not a move.
+* ``product`` and the pair-graph export visit them in :class:`Action`
+  order, the continuation first (:func:`_action_order`).
+
+Choice labels come in label order on both paths.
 """
 
 from __future__ import annotations
@@ -23,13 +37,13 @@ from __future__ import annotations
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import OpenTypeError, StcheckError
 from .lts import (
-    A_BRA, A_END, A_IN_CONT, A_IN_PAYLOAD, A_OUT_CONT, A_OUT_PAYLOAD, A_SEL,
-    SKIP, Action, Node, action_name, transitions,
+    SKIP, Action, Node, Skip, act_end, act_in_cont, act_out_cont, action_name,
+    bra_label, in_payload, out_payload, sel_label,
 )
 from .subterms import sub_pair
 from .syntax import (
@@ -43,13 +57,6 @@ __all__ = [
     "subtype_inductive", "subtype_memoized",
     "check", "is_subtype", "equal_coinductive", "export_product_dot",
 ]
-
-# Action kinds the left node enables that the right must match, and vice
-# versa.  Output payloads appear on both sides (equal arity) and flip the
-# successor pair; selection follows the right, branching the left.
-_LEFT_MUST_MATCH = frozenset(
-    {A_END, A_IN_CONT, A_OUT_CONT, A_IN_PAYLOAD, A_BRA, A_OUT_PAYLOAD})
-_RIGHT_MUST_MATCH = frozenset({A_END, A_IN_PAYLOAD, A_SEL, A_OUT_PAYLOAD})
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
                 "product_edges", "max_context_depth")
@@ -78,56 +85,101 @@ class SubtypeReport:
             self.counters.setdefault(key, 0)
 
 
+Move = Tuple[Action, Node, Node]
+
+_END_MOVES: Tuple[Move, ...] = ((act_end, SKIP, SKIP),)
+
+
 def _require_closed(t: TypeExpr, u: TypeExpr) -> None:
     for side in (t, u):
         if side is not SKIP and not is_closed(side):
             raise OpenTypeError(f"type has free variables: {render(side)}")
 
 
-def _head_class(t: Node) -> int:
-    """Constructor class of the unfolded head, read off the enabled action
-    kinds (the terminal gets its own class)."""
-    trans = transitions(t)
-    if not trans:
-        return -1  # SKIP
-    return min(a.kind for a in trans)
+def _step(left: Node, right: Node) -> Optional[Sequence[Move]]:
+    """The rules: ``None`` for an inconsistent pair, else its moves in rule
+    order as (action, left successor, right successor)."""
+    a = unfold(left)
+    b = unfold(right)
+    kind = type(a)
+    if type(b) is not kind:
+        return None
+    if kind is Input or kind is Output:
+        if len(a.payloads) != len(b.payloads):
+            return None
+        acts = _head_actions.get(a) or _actions(a)
+        if kind is Input:
+            moves = list(zip(acts, a.payloads, b.payloads))
+        else:
+            moves = list(zip(acts, b.payloads, a.payloads))
+        moves.append((acts[-1], a.cont, b.cont))
+        return moves
+    if kind is Branch:  # the left's labels must all exist on the right
+        rights = dict(b.branches)
+        moves = []
+        for act, (label, x) in zip(_head_actions.get(a) or _actions(a),
+                                   a.branches):
+            y = rights.get(label)
+            if y is None:
+                return None
+            moves.append((act, x, y))
+        return moves
+    if kind is Select:  # the right's labels must all exist on the left
+        lefts = dict(a.branches)
+        moves = []
+        for act, (label, y) in zip(_head_actions.get(b) or _actions(b),
+                                   b.branches):
+            x = lefts.get(label)
+            if x is None:
+                return None
+            moves.append((act, x, y))
+        return moves
+    if kind is End:
+        return _END_MOVES
+    if kind is Skip:
+        return ()
+    return None  # a free variable at the head
+
+
+# Actions of each unfolded head in rule order, built once per head:
+# building an Action costs more than the rest of a step.
+_head_actions: Dict[TypeExpr, Tuple[Action, ...]] = {}
+
+
+def _actions(head: TypeExpr) -> Tuple[Action, ...]:
+    kind = type(head)
+    if kind is Input:
+        acts = (*map(in_payload, range(1, len(head.payloads) + 1)), act_in_cont)
+    elif kind is Output:
+        acts = (*map(out_payload, range(1, len(head.payloads) + 1)), act_out_cont)
+    elif kind is Branch:
+        acts = tuple(bra_label(label) for label, _ in head.branches)
+    else:
+        acts = tuple(sel_label(label) for label, _ in head.branches)
+    _head_actions[head] = acts
+    return acts
+
+
+def _action_order(moves: Sequence[Move]) -> Sequence[Move]:
+    """Moves in :class:`Action` order: the continuation, last in rule
+    order, goes first."""
+    if moves and moves[-1][0] in (act_in_cont, act_out_cont):
+        return [moves[-1], *moves[:-1]]
+    return moves
 
 
 def is_inconsistent(p: ProductNode) -> bool:
-    """A pair is inconsistent when the two unfolded heads are different
-    constructors, or one side enables a move the other side is required to
-    match but cannot.
-
-    The head-constructor test is not implied by the direction sets alone:
-    a selection on the left facing a branching on the right enables no
-    required action on either side, yet the subtyping clauses relate
-    selections only to selections.
-    """
-    lt = transitions(p.left)
-    rt = transitions(p.right)
-    if _head_class(p.left) != _head_class(p.right):
-        return True
-    for a in lt:
-        if a.kind in _LEFT_MUST_MATCH and a not in rt:
-            return True
-    for a in rt:
-        if a.kind in _RIGHT_MUST_MATCH and a not in lt:
-            return True
-    return False
+    """True when no rule applies to the pair: the unfolded heads are
+    different constructors, or one side has a move the other must match
+    but cannot (a selection facing a branching is inconsistent too)."""
+    return _step(*p) is None
 
 
 def product_successors(p: ProductNode) -> List[Tuple[Action, ProductNode]]:
-    """Matched moves of a pair, in the fixed action order; output-payload
-    moves yield the swapped pair."""
-    lt = transitions(p.left)
-    rt = transitions(p.right)
-    result = []
-    for a in sorted(lt.keys() & rt.keys()):
-        if a.kind == A_OUT_PAYLOAD:
-            result.append((a, ProductNode(rt[a], lt[a])))
-        else:
-            result.append((a, ProductNode(lt[a], rt[a])))
-    return result
+    """Matched moves of a pair in action order; output-payload moves yield
+    the swapped pair.  An inconsistent pair has no moves: the list is
+    empty, as it is for the terminal pair."""
+    return [(a, ProductNode(x, y)) for a, x, y in _action_order(_step(*p) or ())]
 
 
 def subtype_product(t: TypeExpr, u: TypeExpr,
@@ -136,7 +188,7 @@ def subtype_product(t: TypeExpr, u: TypeExpr,
     soon as an inconsistent pair is dequeued."""
     _require_closed(t, u)
     start = time.perf_counter()
-    root = ProductNode(t, u)
+    root = (t, u)
     seen = {root}
     queue = deque((root,))
     edges = 0
@@ -144,12 +196,13 @@ def subtype_product(t: TypeExpr, u: TypeExpr,
     while queue:
         if deadline is not None and time.perf_counter() > deadline:
             raise DeadlineExceeded
-        p = queue.popleft()
-        if is_inconsistent(p):
+        moves = _step(*queue.popleft())
+        if moves is None:
             verdict = False
             break
-        for _, q in product_successors(p):
-            edges += 1
+        edges += len(moves)
+        for _, x, y in _action_order(moves):
+            q = (x, y)
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
@@ -161,42 +214,33 @@ def subtype_product(t: TypeExpr, u: TypeExpr,
     )
 
 
-def _grid(t: TypeExpr, u: TypeExpr):
-    """All pairs over the joint subterm universe, their inconsistency flags
-    and the reversed matched-move adjacency."""
+def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
+    """Every pair over the joint subterm universe plus the terminal, and
+    the backward closure of the inconsistent ones: returns the universe,
+    that doomed set and the number of matched moves in the grid."""
     universe = list(sub_pair(t, u)) + [SKIP]
-    heads = {v: _head_class(v) for v in universe}
-    keys = {v: frozenset(transitions(v)) for v in universe}
-    left_req = {v: frozenset(a for a in keys[v] if a.kind in _LEFT_MUST_MATCH)
-                for v in universe}
-    right_req = {v: frozenset(a for a in keys[v] if a.kind in _RIGHT_MUST_MATCH)
-                 for v in universe}
-    trans = {v: transitions(v) for v in universe}
-
-    bad: List[ProductNode] = []
-    reverse: Dict[ProductNode, List[ProductNode]] = {}
+    doomed: Set[Tuple[Node, Node]] = set()
+    reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
     edges = 0
     for lv in universe:
-        lkeys = keys[lv]
-        ltrans = trans[lv]
-        lreq = left_req[lv]
-        lhead = heads[lv]
+        if deadline is not None and time.perf_counter() > deadline:
+            raise DeadlineExceeded
         for rv in universe:
-            node = ProductNode(lv, rv)
-            if lhead != heads[rv] or not (lreq <= keys[rv]) \
-                    or not (right_req[rv] <= lkeys):
-                bad.append(node)
+            node = (lv, rv)
+            moves = _step(lv, rv)
+            if moves is None:
+                doomed.add(node)
                 continue
-            rtrans = trans[rv]
-            for a in lkeys & keys[rv]:
-                if a.kind == A_OUT_PAYLOAD:
-                    succ = ProductNode(rtrans[a], ltrans[a])
-                else:
-                    succ = ProductNode(ltrans[a], rtrans[a])
-                reverse.setdefault(succ, []).append(node)
-                edges += 1
-    total = len(universe) * len(universe)
-    return universe, bad, reverse, total, edges
+            edges += len(moves)
+            for _, x, y in moves:
+                reverse.setdefault((x, y), []).append(node)
+    stack = list(doomed)
+    while stack:
+        for pred in reverse.get(stack.pop(), ()):
+            if pred not in doomed:
+                doomed.add(pred)
+                stack.append(pred)
+    return universe, doomed, edges
 
 
 def subtype_all_pairs(t: TypeExpr, u: TypeExpr) -> FrozenSet[ProductNode]:
@@ -204,19 +248,11 @@ def subtype_all_pairs(t: TypeExpr, u: TypeExpr) -> FrozenSet[ProductNode]:
     the terminal) with T' a subtype of U': the complement of the backward
     closure of the inconsistent pairs."""
     _require_closed(t, u)
-    universe, bad, reverse, _, _ = _grid(t, u)
-    doomed: Set[ProductNode] = set(bad)
-    stack = list(bad)
-    while stack:
-        node = stack.pop()
-        for pred in reverse.get(node, ()):
-            if pred not in doomed:
-                doomed.add(pred)
-                stack.append(pred)
+    universe, doomed, _ = _sweep(t, u, None)
     return frozenset(
         ProductNode(lv, rv)
         for lv in universe for rv in universe
-        if ProductNode(lv, rv) not in doomed)
+        if (lv, rv) not in doomed)
 
 
 def subtype_allpairs_report(t: TypeExpr, u: TypeExpr,
@@ -224,68 +260,13 @@ def subtype_allpairs_report(t: TypeExpr, u: TypeExpr,
     """Verdict for the root pair via the all-pairs backward sweep."""
     _require_closed(t, u)
     start = time.perf_counter()
-    universe, bad, reverse, total, edges = _grid(t, u)
-    if deadline is not None and time.perf_counter() > deadline:
-        raise DeadlineExceeded
-    doomed: Set[ProductNode] = set(bad)
-    stack = list(bad)
-    while stack:
-        node = stack.pop()
-        for pred in reverse.get(node, ()):
-            if pred not in doomed:
-                doomed.add(pred)
-                stack.append(pred)
-    verdict = ProductNode(t, u) not in doomed
+    universe, doomed, edges = _sweep(t, u, deadline)
     return SubtypeReport(
-        verdict=verdict,
+        verdict=(t, u) not in doomed,
         algorithm="allpairs",
-        counters={"product_nodes": total, "product_edges": edges},
+        counters={"product_nodes": len(universe) ** 2, "product_edges": edges},
         elapsed=time.perf_counter() - start,
     )
-
-
-def _split(t: TypeExpr, u: TypeExpr):
-    """Unfold both sides and classify the head pair.  Returns the premise
-    list as (left, right) pairs, or None on a shape clash."""
-    a = unfold(t)
-    b = unfold(u)
-    if isinstance(a, End):
-        return [] if isinstance(b, End) else None
-    if isinstance(a, Input):
-        if not isinstance(b, Input) or len(a.payloads) != len(b.payloads):
-            return None
-        prems = list(zip(a.payloads, b.payloads))
-        prems.append((a.cont, b.cont))
-        return prems
-    if isinstance(a, Output):
-        if not isinstance(b, Output) or len(a.payloads) != len(b.payloads):
-            return None
-        prems = [(q, p) for p, q in zip(a.payloads, b.payloads)]
-        prems.append((a.cont, b.cont))
-        return prems
-    if isinstance(a, Branch):
-        if not isinstance(b, Branch):
-            return None
-        rights = dict(b.branches)
-        prems = []
-        for l, ta in a.branches:  # left's labels must all exist on the right
-            tb = rights.get(l)
-            if tb is None:
-                return None
-            prems.append((ta, tb))
-        return prems
-    if isinstance(a, Select):
-        if not isinstance(b, Select):
-            return None
-        lefts = dict(a.branches)
-        prems = []
-        for l, tb in b.branches:  # right's labels must all exist on the left
-            ta = lefts.get(l)
-            if ta is None:
-                return None
-            prems.append((ta, tb))
-        return prems
-    return None
 
 
 def subtype_inductive(t: TypeExpr, u: TypeExpr,
@@ -314,10 +295,14 @@ def subtype_inductive(t: TypeExpr, u: TypeExpr,
         if len(ctx) > max_depth:
             max_depth = len(ctx)
         try:
-            prems = _split(a, b)
-            if prems is None:
+            moves = _step(a, b)
+            if moves is None:
                 return False
-            return all(go(pa, pb) for pa, pb in prems)
+            # end/end is an axiom here: the terminal pair is no premise
+            for _, x, y in moves:
+                if x is not SKIP and not go(x, y):
+                    return False
+            return True
         finally:
             ctx.discard(pair)
 
@@ -355,10 +340,14 @@ def subtype_memoized(t: TypeExpr, u: TypeExpr,
         if pair in seen:
             return True
         seen.add(pair)
-        prems = _split(a, b)
-        if prems is None:
+        moves = _step(a, b)
+        if moves is None:
             return False
-        return all(go(pa, pb) for pa, pb in prems)
+        # end/end is an axiom here: the terminal pair is no premise
+        for _, x, y in moves:
+            if x is not SKIP and not go(x, y):
+                return False
+        return True
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 200_000))
@@ -418,10 +407,7 @@ def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
         p = queue.popleft()
         if is_inconsistent(p):
             bad.add(p)
-            adjacency[p] = []
-            continue
-        succs = product_successors(p)
-        adjacency[p] = succs
+        succs = adjacency[p] = product_successors(p)
         for _, q in succs:
             if q not in seen:
                 seen.add(q)
@@ -435,7 +421,7 @@ def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
         shape = "doubleoctagon" if p == root else "box"
         lines.append(f'  n{index[p]} [label="{label}", shape={shape}{style}];')
     for p in nodes:
-        for a, q in adjacency.get(p, ()):
+        for a, q in adjacency[p]:
             lines.append(
                 f'  n{index[p]} -> n{index[q]} [label="{action_name(a)}"];')
     lines.append("}")

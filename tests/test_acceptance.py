@@ -9,7 +9,7 @@ import random
 import time
 
 import stcheck.syntax as syntax
-from conftest import weaken
+from helpers import weaken
 from stcheck.bench import (
     GenConfig, fit_quadratic, gen_blowup_family, gen_random, random_pair,
 )

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from conftest import T1_TEXT, T2_TEXT, T3_TEXT
+from helpers import T1_TEXT, T2_TEXT, T3_TEXT
 from stcheck.bench import CSV_COLUMNS
 from stcheck.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
 
@@ -117,3 +117,12 @@ def test_bench_bad_timeout_env(monkeypatch, capsys):
 
 def test_bench_bad_algo(capsys):
     assert main(["bench", "--kmax", "1", "--algos", "bogus"]) == EXIT_ERROR
+
+
+def test_check_deep_input_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.st"
+    deep.write_text("?[end]." * 5000 + "end\n")
+    assert main(["check", str(deep), str(deep)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("stcheck: error:")
+    assert "Traceback" not in err

@@ -1,18 +1,22 @@
 import random
+import time
 
 import pytest
 
-from conftest import weaken
-from stcheck.bench import GenConfig, gen_random, random_pair
+from helpers import weaken
+from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import OpenTypeError
-from stcheck.lts import SKIP, act_end, act_in_cont, in_payload, sel_label
+from stcheck.lts import (
+    SKIP, act_end, act_in_cont, act_out_cont, in_payload, out_payload,
+    sel_label,
+)
 from stcheck.subtyping import (
-    ALGORITHMS, ProductNode,
+    ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, ProductNode,
     check, equal_coinductive, export_product_dot, is_inconsistent,
     product_successors, subtype_all_pairs, subtype_inductive,
     subtype_memoized, subtype_product,
 )
-from stcheck.syntax import end, inp, parse, size, unfold, var
+from stcheck.syntax import end, inp, out, parse, size, unfold, var
 
 
 def relation_nodes(t1, t2, t3):
@@ -32,6 +36,8 @@ def test_inconsistent_examples(t1, t2):
     assert not is_inconsistent(ProductNode(end(), end()))
     assert is_inconsistent(ProductNode(t1, t2))
     assert is_inconsistent(ProductNode(end(), parse("rec X . ?[end].X")))
+    # an inconsistent pair has no moves, even where some labels match
+    assert product_successors(ProductNode(t1, t2)) == []
 
 
 def test_select_vs_branch_heads_are_inconsistent():
@@ -56,31 +62,39 @@ def test_product_successors_end():
         (act_end, ProductNode(SKIP, SKIP))]
 
 
+# product_successors lists the moves in action order: the continuation
+# first, then payloads by index, choice labels by name
+
+
 def test_product_successors_t2_t3(t1, t2, t3):
-    succs = dict(product_successors(ProductNode(t2, t3)))
-    assert succs == {
-        sel_label("respond"): ProductNode(inp([end()], t2), inp([end()], t3)),
-        sel_label("exit"): ProductNode(end(), end()),
-        sel_label("replicate"): ProductNode(inp([t2], t2), inp([t1], t3)),
-    }
+    assert product_successors(ProductNode(t2, t3)) == [
+        (sel_label("exit"), ProductNode(end(), end())),
+        (sel_label("replicate"), ProductNode(inp([t2], t2), inp([t1], t3))),
+        (sel_label("respond"), ProductNode(inp([end()], t2), inp([end()], t3))),
+    ]
 
 
 def test_product_successors_input_pair(t1, t2):
-    succs = dict(product_successors(
-        ProductNode(inp([end()], t2), inp([end()], t1))))
-    assert succs == {
-        act_in_cont: ProductNode(t2, t1),
-        in_payload(1): ProductNode(end(), end()),
-    }
+    assert product_successors(
+            ProductNode(inp([end()], t2), inp([end()], t1))) == [
+        (act_in_cont, ProductNode(t2, t1)),
+        (in_payload(1), ProductNode(end(), end())),
+    ]
 
 
-def test_output_payloads_flip():
+def test_output_payloads_flip(t1, t2, t3):
     left = parse("![?[end].end].end")
     right = parse("![end].end")
     # arity matches, so the payload pair flips sides
     succs = dict(product_successors(ProductNode(left, right)))
     flipped = succs[[a for a in succs if a.arg == 1][0]]
     assert flipped == ProductNode(parse("end"), parse("?[end].end"))
+    assert product_successors(
+            ProductNode(out([t1, end()], t2), out([t2, end()], t3))) == [
+        (act_out_cont, ProductNode(t2, t3)),
+        (out_payload(1), ProductNode(t2, t1)),
+        (out_payload(2), ProductNode(end(), end())),
+    ]
 
 
 def test_golden_verdicts_all_algorithms(t1, t2, t3):
@@ -138,6 +152,41 @@ def test_all_pairs_matches_product_on_grid(t2, t3):
         if p.left is SKIP or p.right is SKIP:
             continue
         assert subtype_product(p.left, p.right).verdict
+
+
+def test_allpairs_deadline_overshoot_is_bounded():
+    left, right = gen_blowup_family(120)
+    start = time.perf_counter()
+    with pytest.raises(DeadlineExceeded):
+        check(left, right, "allpairs", deadline=start + 0.05)
+    assert time.perf_counter() - start - 0.05 < 0.5
+
+
+# Counter sums over the refuted pairs among random_pair(i, 40), i < 300
+# (297 pairs), in COUNTER_KEYS order.  A refuted search stops early, so
+# these sums pin the order in which each algorithm visits the moves.
+REFUTED_COUNTER_SUMS = {
+    "inductive": (329, 0, 0, 0, 327),
+    "memoized": (329, 328, 0, 0, 0),
+    "product": (0, 0, 379, 83, 0),
+    "allpairs": (0, 0, 90736, 24855, 0),
+}
+
+
+def test_counter_sums_on_refuted_random_pairs():
+    sums = {algo: [0] * len(COUNTER_KEYS) for algo in ALGORITHMS}
+    refuted = 0
+    for seed in range(300):
+        left, right = random_pair(seed, 40)
+        if subtype_product(left, right).verdict:
+            continue
+        refuted += 1
+        for algo in ALGORITHMS:
+            counters = check(left, right, algo).counters
+            for i, key in enumerate(COUNTER_KEYS):
+                sums[algo][i] += counters[key]
+    assert refuted == 297
+    assert {algo: tuple(v) for algo, v in sums.items()} == REFUTED_COUNTER_SUMS
 
 
 def test_inductive_examples(t1, t2):

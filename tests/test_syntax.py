@@ -8,7 +8,7 @@ from stcheck.syntax import (
     branch, end, free_names, inp, is_closed, is_contractive, mu, out, parse,
     render, select, size, substitute, unfold, var,
 )
-from conftest import T1_TEXT, T2_TEXT
+from helpers import T1_TEXT, T2_TEXT
 
 
 def test_parse_end():
