@@ -15,7 +15,10 @@ identity-equality invariant.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from collections.abc import Mapping
+from itertools import islice
+from operator import itemgetter
+from typing import Iterable, Iterator, Tuple
 
 from .errors import (
     DuplicateLabelError,
@@ -35,6 +38,9 @@ __all__ = [
 Branches = Tuple[Tuple[str, "TypeExpr"], ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# Labels are what the concrete syntax reads as one, so render re-parses.
+_LABEL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+_KEYWORDS = ("end", "rec")
 
 
 class TypeExpr:
@@ -103,26 +109,32 @@ class Branch(TypeExpr):
     __match_args__ = ("branches",)
 
 
-# dict.setdefault is atomic under the GIL, which gives us lock-free
-# concurrent interning: the first inserted node wins.
+# Every factory looks its key up first and builds and validates a node only
+# on a miss: a hit is a node that passed the same checks under the same key.
+# A miss still inserts with dict.setdefault, which is atomic under the GIL
+# and gives lock-free concurrent interning: the first inserted node wins.
 _interned: dict = {}
-
-
-def _intern(key, node: TypeExpr) -> TypeExpr:
-    return _interned.setdefault(key, node)
+_END_KEY = (End,)
 
 
 def end() -> End:
+    node = _interned.get(_END_KEY)
+    if node is not None:
+        return node
     node = End()
     node.size = 1
     node.cutoff = 0
     node.has_fvar = False
     node.contractive = True
     node._chain = None
-    return _intern((End,), node)
+    return _interned.setdefault(_END_KEY, node)
 
 
 def var(name: str) -> Var:
+    key = (Var, name)
+    node = _interned.get(key)
+    if node is not None:
+        return node
     if not _IDENT_RE.match(name or ""):
         raise ValueError(f"invalid variable name: {name!r}")
     node = Var()
@@ -132,10 +144,14 @@ def var(name: str) -> Var:
     node.has_fvar = True
     node.contractive = True
     node._chain = None
-    return _intern((Var, name), node)
+    return _interned.setdefault(key, node)
 
 
 def bvar(index: int) -> BoundVar:
+    key = (BoundVar, index)
+    node = _interned.get(key)
+    if node is not None:
+        return node
     if index < 0:
         raise ValueError("de Bruijn index must be >= 0")
     node = BoundVar()
@@ -146,11 +162,15 @@ def bvar(index: int) -> BoundVar:
     node.contractive = True
     # _chain = (number of Recs wrapped so far, index at the chain's end)
     node._chain = (0, index)
-    return _intern((BoundVar, index), node)
+    return _interned.setdefault(key, node)
 
 
 def rec(body: TypeExpr) -> Rec:
     """Nameless recursion binder; ``bvar(0)`` in *body* refers to it."""
+    key = (Rec, body)
+    node = _interned.get(key)
+    if node is not None:
+        return node
     node = Rec()
     node.body = body
     node.size = body.size + 1
@@ -166,7 +186,7 @@ def rec(body: TypeExpr) -> Rec:
         # one of the binders of this very chain.
         node.contractive = body.contractive and index > wrapped
         node._chain = (wrapped + 1, index)
-    return _intern((Rec, body), node)
+    return _interned.setdefault(key, node)
 
 
 def mu(name: str, body: TypeExpr) -> Rec:
@@ -196,6 +216,10 @@ def _bind(t: TypeExpr, name: str, depth: int) -> TypeExpr:
 
 def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
     payloads = tuple(payloads)
+    key = (cls, payloads, cont)
+    node = _interned.get(key)
+    if node is not None:
+        return node
     if not payloads:
         raise EmptyArityError("payload list must be non-empty")
     node = cls()
@@ -206,7 +230,7 @@ def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
     node.has_fvar = cont.has_fvar or any(p.has_fvar for p in payloads)
     node.contractive = cont.contractive and all(p.contractive for p in payloads)
     node._chain = None
-    return _intern((cls, payloads, cont), node)
+    return _interned.setdefault(key, node)
 
 
 def inp(payloads: Iterable[TypeExpr], cont: TypeExpr) -> Input:
@@ -220,17 +244,20 @@ def out(payloads: Iterable[TypeExpr], cont: TypeExpr) -> Output:
 def _branch_node(cls, branches):
     if isinstance(branches, Mapping):
         branches = branches.items()
-    items = sorted(branches)  # canonical label order
+    items = tuple(sorted(branches, key=itemgetter(0)))  # canonical order
+    key = (cls, items)
+    node = _interned.get(key)
+    if node is not None:
+        return node
     if not items:
         raise EmptyArityError("label map must be non-empty")
     labels = [l for l, _ in items]
     for l in labels:
-        if not _IDENT_RE.match(l):
+        if not _LABEL_RE.match(l) or l in _KEYWORDS:
             raise ValueError(f"invalid label: {l!r}")
     for a, b in zip(labels, labels[1:]):
         if a == b:
             raise DuplicateLabelError(f"duplicate label {a!r}")
-    items = tuple(items)
     node = cls()
     node.branches = items
     node.size = sum(b.size for _, b in items) + 1
@@ -238,7 +265,7 @@ def _branch_node(cls, branches):
     node.has_fvar = any(b.has_fvar for _, b in items)
     node.contractive = all(b.contractive for _, b in items)
     node._chain = None
-    return _intern((cls, items), node)
+    return _interned.setdefault(key, node)
 
 
 def select(branches) -> Select:
@@ -376,61 +403,35 @@ def unfold(t: TypeExpr) -> TypeExpr:
 #       | +{ l: T, ... } | &{ l: T, ... }
 #
 # Variables start uppercase, labels lowercase; '#' starts a line comment.
+#
+# One findall over the text yields every token: each match skips blanks
+# and comments, then takes an identifier, a punctuator, any other single
+# character (a bad one) or, only at the end of the text, the empty string.
+# That last alternative always matches, so the skip is never backtracked
+# and the scan is linear on any input.  The parser is a loop over the
+# token list with an explicit stack of open constructs, so nesting depth
+# is bounded by memory, not by the recursion limit.  Offsets, lines and
+# columns are worked out only when an error is raised.
+#
+# Errors are those of a one-token-lookahead reader: a bad character is
+# reported as soon as the token before it is consumed.  So a syntax error
+# at a token the grammar inspects before consuming it (a separator, a
+# closer, the end) is reported before a bad character right after it;
+# one at a token it consumes first (the start of a type, a binder name,
+# a label) or a duplicate label at a closing '}' is reported after it.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>[ \t\r\n]+|\#[^\n]*)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<punct>\?\[|!\[|\+\{|&\{|[\]\}.,:])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    ( [A-Za-z][A-Za-z0-9_]* | [?!]\[ | [+&]\{ | [\]\}.,:] | [\s\S] | )
 """, re.VERBOSE)
+_PUNCT = frozenset(("?[", "![", "+{", "&{", "]", "}", ".", ",", ":"))
 
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tok: Optional[Tuple[str, str, int, int]] = None
-        self._advance()
-
-    def _advance(self) -> None:
-        while True:
-            if self.pos >= len(self.text):
-                self.tok = ("eof", "", self.line, self.col)
-                return
-            m = _TOKEN_RE.match(self.text, self.pos)
-            if m is None:
-                raise ParseError(
-                    f"unexpected character {self.text[self.pos]!r}",
-                    self.line, self.col)
-            kind = m.lastgroup
-            value = m.group()
-            line, col = self.line, self.col
-            for ch in value:
-                if ch == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-            self.pos = m.end()
-            if kind == "ws":
-                continue
-            self.tok = (kind, value, line, col)
-            return
-
-    def take(self) -> Tuple[str, str, int, int]:
-        tok = self.tok
-        self._advance()
-        return tok
-
-    def expect(self, punct: str) -> None:
-        kind, value, line, col = self.tok
-        if kind == "punct" and value == punct:
-            self._advance()
-            return
-        raise ParseError(f"expected {punct!r}, found {value or 'end of input'!r}",
-                         line, col)
+# Frames of the explicit stack; the node just parsed is handed to the
+# innermost one.  [_PAYLOADS, cls, payloads] and then [_CONT, cls, payloads]
+# for ?[..].T and ![..].T, [_ITEMS, cls, items, label] for +{..} and &{..},
+# [_BINDER, name] for the body of rec.
+_PAYLOADS, _CONT, _ITEMS, _BINDER = range(4)
 
 
 def parse(text: str) -> TypeExpr:
@@ -440,71 +441,148 @@ def parse(text: str) -> TypeExpr:
     Raises :class:`ParseError`, :class:`NotContractiveError`,
     :class:`DuplicateLabelError` or :class:`EmptyArityError`.
     """
-    lexer = _Lexer(text)
-    t = _parse_type(lexer, [])
-    kind, value, line, col = lexer.tok
-    if kind != "eof":
-        raise ParseError(f"trailing input starting at {value!r}", line, col)
-    if not t.contractive:
+    toks = _TOKEN_RE.findall(text)
+    stack = []
+    scope: dict = {}  # binder name -> depths of its binders, innermost last
+    depth = 0         # number of enclosing binders
+    i = 0
+    while True:
+        # A type starts at toks[i].
+        tok = toks[i]
+        i += 1
+        if tok == "end":
+            node = end()
+        elif tok == "?[" or tok == "![":
+            stack.append([_PAYLOADS, Input if tok == "?[" else Output, []])
+            continue
+        elif tok == "+{" or tok == "&{":
+            label = _label(text, toks, i)
+            i += 2
+            cls = Select if tok == "+{" else Branch
+            stack.append([_ITEMS, cls, [], label])
+            continue
+        elif tok == "rec":
+            name = toks[i]
+            if not "A" <= name[:1] <= "Z":
+                _fail(text, toks, i, "expected recursion variable after 'rec'",
+                      took=True)
+            if toks[i + 1] != ".":
+                _fail(text, toks, i + 1, _expected(".", toks[i + 1]))
+            i += 2
+            scope.setdefault(name, []).append(depth)
+            depth += 1
+            stack.append([_BINDER, name])
+            continue
+        elif "A" <= tok[:1] <= "Z":
+            levels = scope.get(tok)
+            node = bvar(depth - 1 - levels[-1]) if levels else var(tok)
+        elif _IDENT_RE.match(tok):
+            _fail(text, toks, i - 1, f"unexpected identifier {tok!r} "
+                  "(variables start uppercase)", took=True)
+        else:
+            _fail(text, toks, i - 1,
+                  f"expected a type, found {tok or 'end of input'!r}",
+                  took=True)
+
+        # Hand the finished node to the open constructs, closing those it
+        # completes, until one needs another type.
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            if kind == _CONT:
+                stack.pop()
+                node = _payload_node(frame[1], frame[2], node)
+            elif kind == _PAYLOADS:
+                frame[2].append(node)
+                tok = toks[i]
+                if tok == ",":
+                    i += 1
+                    break
+                if tok != "]":
+                    _fail(text, toks, i, _expected("]", tok))
+                if toks[i + 1] != ".":
+                    _fail(text, toks, i + 1, _expected(".", toks[i + 1]))
+                i += 2
+                frame[0] = _CONT
+                break
+            elif kind == _ITEMS:
+                items = frame[2]
+                items.append((frame[3], node))
+                tok = toks[i]
+                if tok == ",":
+                    frame[3] = _label(text, toks, i + 1)
+                    i += 3
+                    break
+                if tok != "}":
+                    _fail(text, toks, i, _expected("}", tok))
+                i += 1
+                if len({l for l, _ in items}) < len(items):
+                    _duplicate(text, toks, i, items)
+                stack.pop()
+                node = _branch_node(frame[1], items)
+            else:
+                stack.pop()
+                scope[frame[1]].pop()
+                depth -= 1
+                node = rec(node)
+        else:
+            break
+
+    if toks[i] != "":
+        _fail(text, toks, i, f"trailing input starting at {toks[i]!r}")
+    if not node.contractive:
         raise NotContractiveError(f"type is not contractive: {text.strip()}")
-    return t
+    return node
 
 
-def _parse_type(lx: _Lexer, binders: list) -> TypeExpr:
-    kind, value, line, col = lx.take()
-    if kind == "ident":
-        if value == "end":
-            return end()
-        if value == "rec":
-            nkind, name, nline, ncol = lx.take()
-            if nkind != "ident" or not name[0].isupper():
-                raise ParseError("expected recursion variable after 'rec'",
-                                 nline, ncol)
-            lx.expect(".")
-            binders.append(name)
-            try:
-                body = _parse_type(lx, binders)
-            finally:
-                binders.pop()
-            return rec(body)
-        if value[0].isupper():
-            for depth, bound in enumerate(reversed(binders)):
-                if bound == value:
-                    return bvar(depth)
-            return var(value)
-        raise ParseError(f"unexpected identifier {value!r} "
-                         "(variables start uppercase)", line, col)
-    if kind == "punct" and value in ("?[", "!["):
-        payloads = [_parse_type(lx, binders)]
-        while lx.tok[:2] == ("punct", ","):
-            lx.take()
-            payloads.append(_parse_type(lx, binders))
-        lx.expect("]")
-        lx.expect(".")
-        cont = _parse_type(lx, binders)
-        return inp(payloads, cont) if value == "?[" else out(payloads, cont)
-    if kind == "punct" and value in ("+{", "&{"):
-        items = [_parse_branch(lx, binders)]
-        while lx.tok[:2] == ("punct", ","):
-            lx.take()
-            items.append(_parse_branch(lx, binders))
-        lx.expect("}")
-        seen = set()
-        for l, _ in items:
-            if l in seen:
-                raise DuplicateLabelError(f"duplicate label {l!r}")
-            seen.add(l)
-        return select(items) if value == "+{" else branch(items)
-    raise ParseError(f"expected a type, found {value or 'end of input'!r}",
-                     line, col)
+def _label(text: str, toks: list, i: int) -> str:
+    """The label at toks[i], which must be followed by ':'."""
+    label = toks[i]
+    if not _LABEL_RE.match(label) or label in _KEYWORDS:
+        _fail(text, toks, i, "expected a label (lowercase identifier)",
+              took=True)
+    if toks[i + 1] != ":":
+        _fail(text, toks, i + 1, _expected(":", toks[i + 1]))
+    return label
 
 
-def _parse_branch(lx: _Lexer, binders: list) -> Tuple[str, TypeExpr]:
-    kind, label, line, col = lx.take()
-    if kind != "ident" or not label[0].islower() or label in ("end", "rec"):
-        raise ParseError("expected a label (lowercase identifier)", line, col)
-    lx.expect(":")
-    return label, _parse_type(lx, binders)
+def _expected(punct: str, tok: str) -> str:
+    return f"expected {punct!r}, found {tok or 'end of input'!r}"
+
+
+def _is_bad(tok: str) -> bool:
+    return tok != "" and tok not in _PUNCT and not _IDENT_RE.match(tok)
+
+
+def _position(text: str, k: int) -> Tuple[int, int]:
+    """Line and column (1-based) of token *k*."""
+    off = next(islice(_TOKEN_RE.finditer(text), k, None)).start(1)
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+
+
+def _fail(text: str, toks: list, k: int, message: str,
+          took: bool = False) -> None:
+    """Raise the error for token *k*.  A bad character is seen as soon as
+    the token before it is consumed: at *k* itself, or at *k* + 1 when the
+    grammar consumed token *k* before inspecting it (*took*)."""
+    if not _is_bad(toks[k]) and took and k + 1 < len(toks) \
+            and _is_bad(toks[k + 1]):
+        k += 1
+    if _is_bad(toks[k]):
+        message = f"unexpected character {toks[k]!r}"
+    raise ParseError(message, *_position(text, k))
+
+
+def _duplicate(text: str, toks: list, k: int, items: list) -> None:
+    """Raise for the first repeated label of *items*, closed before token
+    *k*, unless token *k* is a bad character (seen when '}' was consumed)."""
+    if _is_bad(toks[k]):
+        _fail(text, toks, k, f"unexpected character {toks[k]!r}")
+    seen = set()
+    for l, _ in items:
+        if l in seen:
+            raise DuplicateLabelError(f"duplicate label {l!r}")
+        seen.add(l)
 
 
 def _binder_names(t: TypeExpr) -> Iterator[str]:

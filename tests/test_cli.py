@@ -4,6 +4,7 @@ import io
 import pytest
 
 from helpers import T1_TEXT, T2_TEXT, T3_TEXT
+from stcheck import cli
 from stcheck.bench import CSV_COLUMNS
 from stcheck.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
 
@@ -119,10 +120,21 @@ def test_bench_bad_algo(capsys):
     assert main(["bench", "--kmax", "1", "--algos", "bogus"]) == EXIT_ERROR
 
 
-def test_check_deep_input_is_an_input_error(tmp_path, capsys):
+def test_check_deep_input(tmp_path, capsys):
     deep = tmp_path / "deep.st"
     deep.write_text("?[end]." * 5000 + "end\n")
-    assert main(["check", str(deep), str(deep)]) == EXIT_ERROR
+    assert main(["check", str(deep), str(deep)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "subtype"
+
+
+def test_check_deep_input_is_an_input_error(files, capsys, monkeypatch):
+    # Parsing is iterative, but unfold, render and the depth-first searches
+    # recurse, so input past the recursion limit must still end in exit 2.
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "parse", too_deep)
+    assert main(["check", files["t1"], files["t2"]]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("stcheck: error:")
     assert "Traceback" not in err

@@ -1,14 +1,22 @@
+import json
+import pathlib
+import time
+
 import pytest
 
 from stcheck.errors import (
     DuplicateLabelError, EmptyArityError, NotContractiveError, ParseError,
+    StcheckError,
 )
+from stcheck.subtyping import check
 from stcheck.syntax import (
     End, Rec, Select,
-    branch, end, free_names, inp, is_closed, is_contractive, mu, out, parse,
-    render, select, size, substitute, unfold, var,
+    branch, bvar, end, free_names, inp, is_closed, is_contractive, mu, out,
+    parse, render, select, size, substitute, unfold, var,
 )
 from helpers import T1_TEXT, T2_TEXT
+
+DEEP_CHAIN = "?[end]." * 10**5 + "end"
 
 
 def test_parse_end():
@@ -60,11 +68,76 @@ def test_parse_rejects_free_lowercase_head():
         parse("foo")
 
 
-def test_empty_arity_rejected_in_factories():
+def test_factories_validate_on_an_intern_miss():
+    # Valid look-alikes are interned first: a factory returns a hit without
+    # validating, so each bad call below must miss and be checked.
+    select([("a", end())])
+    bvar(0)
+    inp([end()], end())
+    branch([("a", end())])
     with pytest.raises(EmptyArityError):
         inp([], end())
     with pytest.raises(EmptyArityError):
         select([])
+    with pytest.raises(ValueError):
+        select([("A", end())])
+    with pytest.raises(ValueError):
+        branch([("end", end())])
+    with pytest.raises(ValueError):
+        bvar(-1)
+    with pytest.raises(DuplicateLabelError):
+        branch([("a", end()), ("a", end())])
+    with pytest.raises(DuplicateLabelError):
+        branch([("a", end()), ("a", var("X"))])
+
+
+def test_parse_errors_match_golden_table():
+    """Class, message, line and column of every malformed text in
+    ``parse_errors.json``, as the recursive-descent parser with one token of
+    lookahead reported them.  The texts are seeded insertions, deletions and
+    truncations of rendered ``random_pair`` texts, chosen so that a bad
+    character comes both before and after a syntax error, plus hand-written
+    edge cases (a bad character right after a consumed token, after '}' and
+    after a duplicate label)."""
+    path = pathlib.Path(__file__).with_name("parse_errors.json")
+    cases = json.loads(path.read_text(encoding="utf-8"))
+    wrong = []
+    for text, cls, message, line, col in cases:
+        with pytest.raises(StcheckError) as exc:
+            parse(text)
+        err = exc.value
+        got = [type(err).__name__, str(err),
+               getattr(err, "line", None), getattr(err, "col", None)]
+        if got != [cls, message, line, col]:
+            wrong.append((text, got))
+    assert len(cases) > 300
+    assert wrong == []
+
+
+@pytest.mark.parametrize("text", [
+    "a" * 10**5 + "$",
+    "?[" * 10**5,
+    "#" * 10**5 + "\n$",
+], ids=["long-ident", "open-payloads", "long-comment"])
+def test_long_malformed_input_fails_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse(text)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("text,expected_size", [
+    (DEEP_CHAIN, 2 * 10**5 + 1),
+    ("+{ a: " * 30000 + "end" + " }" * 30000, 30001),
+    ("".join(f"rec X{i} . ?[X{i}]." for i in range(30000)) + "end", 90001),
+], ids=["input-chain", "select-nest", "binder-nest"])
+def test_parse_deep_input(text, expected_size):
+    assert parse(text).size == expected_size
+
+
+def test_deep_chain_gets_a_product_verdict():
+    t = parse(DEEP_CHAIN)
+    assert check(t, t, "product").verdict is True
 
 
 def test_comments_and_whitespace():
