@@ -16,7 +16,7 @@ from typing import Optional
 from . import bench, subtyping
 from .errors import StcheckError
 from .lts import build_lts, lts_to_dot
-from .subterms import canonical_order, sub_bottom_up, sub_top_down
+from .subterms import sub_bottom_up, sub_top_down
 from .syntax import TypeExpr, parse, render
 
 EXIT_OK = 0
@@ -90,8 +90,9 @@ def cmd_graph(args) -> int:
 def cmd_subterms(args) -> int:
     t = _load(args.file)
     subs = sub_top_down(t) if args.flavor == "td" else sub_bottom_up(t)
-    for s in canonical_order(subs):
-        print(render(s))
+    # canonical_order's listing, with each subterm rendered once
+    for text in sorted(map(render, subs)):
+        print(text)
     return EXIT_OK
 
 

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-from . import syntax
-from .syntax import (
-    Branch, BoundVar, End, Input, Output, Rec, Select, TypeExpr, Var,
-    render, subst_top,
-)
+from .syntax import Rec, TypeExpr, _children, render, subst_top
 
 __all__ = ["sub_bottom_up", "sub_top_down", "sub_pair", "canonical_order"]
 
@@ -22,29 +18,24 @@ __all__ = ["sub_bottom_up", "sub_top_down", "sub_pair", "canonical_order"]
 def sub_bottom_up(t: TypeExpr) -> FrozenSet[TypeExpr]:
     """Purely structural subterm set; the binder case substitutes the
     binder into each subterm of its body."""
-    acc = set()
-    _bu(t, acc)
+    acc = set()     # subterms of the innermost open binder's body so far
+    opened = []     # (binder, the accumulator outside it), innermost last
+    todo = [t]      # nodes to visit, or None once a binder's body is done
+    while todo:
+        u = todo.pop()
+        if u is None:
+            r, outside = opened.pop()
+            outside.add(r)
+            outside.update([subst_top(s, r) for s in acc])
+            acc = outside
+        elif type(u) is Rec:
+            opened.append((u, acc))
+            acc = set()
+            todo += [None, u.body]
+        else:
+            acc.add(u)
+            todo.extend(_children(u))
     return frozenset(acc)
-
-
-def _bu(t: TypeExpr, acc: set) -> None:
-    if isinstance(t, (End, Var, BoundVar)):
-        acc.add(t)
-    elif isinstance(t, Rec):
-        acc.add(t)
-        inner: set = set()
-        _bu(t.body, inner)
-        for s in inner:
-            acc.add(subst_top(s, t))
-    elif isinstance(t, (Input, Output)):
-        acc.add(t)
-        _bu(t.cont, acc)
-        for p in t.payloads:
-            _bu(p, acc)
-    else:
-        acc.add(t)
-        for _, b in t.branches:
-            _bu(b, acc)
 
 
 def sub_top_down(t: TypeExpr) -> FrozenSet[TypeExpr]:
@@ -57,13 +48,10 @@ def sub_top_down(t: TypeExpr) -> FrozenSet[TypeExpr]:
         if u in seen:
             continue
         seen.add(u)
-        if isinstance(u, Rec):
+        if type(u) is Rec:
             stack.append(subst_top(u.body, u))
-        elif isinstance(u, (Input, Output)):
-            stack.append(u.cont)
-            stack.extend(u.payloads)
-        elif isinstance(u, (Select, Branch)):
-            stack.extend(b for _, b in u.branches)
+        else:
+            stack.extend(_children(u))
     return frozenset(seen)
 
 

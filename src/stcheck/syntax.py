@@ -10,6 +10,17 @@ Construction goes through the factory functions (``end``, ``var``,
 ``bvar``, ``rec``, ``mu``, ``inp``, ``out``, ``select``, ``branch``);
 calling the class constructors directly bypasses interning and breaks the
 identity-equality invariant.
+
+The structural operations walk a type with an explicit stack over one
+child listing, ``_children`` (payloads, then the continuation; branches in
+label order; a binder's body, one binder deeper), so nesting depth is
+bounded by memory, not by the recursion limit.  ``mu``, ``shift``,
+``subst_top`` and ``substitute`` say only what a variable leaf becomes;
+``_rewrite`` rebuilds the rest bottom-up through the factories and keeps
+every subtree the operation cannot change: one whose dangling indices all
+lie below the current binder depth for the index operations, one without
+named variables for the name operations.  ``free_names``, ``render`` and
+the subterm sets of :mod:`stcheck.subterms` are loops over the same listing.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ __all__ = [
 Branches = Tuple[Tuple[str, "TypeExpr"], ...]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# Labels are what the concrete syntax reads as one, so render re-parses.
+# Variables and labels as the concrete syntax reads them, so render re-parses.
+_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _LABEL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _KEYWORDS = ("end", "rec")
 
@@ -135,7 +147,7 @@ def var(name: str) -> Var:
     node = _interned.get(key)
     if node is not None:
         return node
-    if not _IDENT_RE.match(name or ""):
+    if not _VAR_RE.match(name or ""):
         raise ValueError(f"invalid variable name: {name!r}")
     node = Var()
     node.name = name
@@ -191,27 +203,8 @@ def rec(body: TypeExpr) -> Rec:
 
 def mu(name: str, body: TypeExpr) -> Rec:
     """Named recursion: binds free occurrences of ``var(name)`` in *body*."""
-    return rec(_bind(body, name, 0))
-
-
-def _bind(t: TypeExpr, name: str, depth: int) -> TypeExpr:
-    if isinstance(t, Var):
-        return bvar(depth) if t.name == name else t
-    if not t.has_fvar:
-        return t
-    if isinstance(t, Rec):
-        return rec(_bind(t.body, name, depth + 1))
-    if isinstance(t, Input):
-        return inp([_bind(p, name, depth) for p in t.payloads],
-                   _bind(t.cont, name, depth))
-    if isinstance(t, Output):
-        return out([_bind(p, name, depth) for p in t.payloads],
-                   _bind(t.cont, name, depth))
-    if isinstance(t, Select):
-        return select([(l, _bind(b, name, depth)) for l, b in t.branches])
-    if isinstance(t, Branch):
-        return branch([(l, _bind(b, name, depth)) for l, b in t.branches])
-    return t
+    return rec(_rewrite(body, 0, Var,
+                        lambda u, d: bvar(d) if u.name == name else u))
 
 
 def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
@@ -288,66 +281,83 @@ def is_closed(t: TypeExpr) -> bool:
     return t.cutoff == 0 and not t.has_fvar
 
 
+def _children(t: TypeExpr) -> tuple:
+    """The children of *t* in listing order; a ``Rec``'s body is one binder
+    deeper than the ``Rec``."""
+    cls = type(t)
+    if cls is Input or cls is Output:
+        return t.payloads + (t.cont,)
+    if cls is Select or cls is Branch:
+        return tuple([b for _, b in t.branches])
+    if cls is Rec:
+        return (t.body,)
+    return ()
+
+
+def _rebuild(t: TypeExpr, kids: list) -> TypeExpr:
+    """*t* with its children, listed as by :func:`_children`, replaced."""
+    cls = type(t)
+    if cls is Input or cls is Output:
+        return _payload_node(cls, kids[:-1], kids[-1])
+    if cls is Select or cls is Branch:
+        return _branch_node(cls, [(l, k) for (l, _), k in zip(t.branches, kids)])
+    return rec(kids[0])
+
+
+def _rewrite(t: TypeExpr, depth: int, cls: type, leaf) -> TypeExpr:
+    """Rebuild *t*, which sits under *depth* binders, bottom-up.
+
+    A leaf ``u`` of class *cls* (``BoundVar`` or ``Var``) at binder depth
+    ``d`` becomes ``leaf(u, d)``.  A subtree without such a leaf to change
+    (no index >= ``d``, or no named variable) is kept as it is.
+    """
+    indices = cls is BoundVar
+    done = []    # rebuilt subtrees, in listing order
+    todo = [t]   # nodes to enter, or (node, child count, depth) to rebuild
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:
+            u, n, depth = u
+            done[-n:] = [_rebuild(u, done[-n:])]
+        elif u.cutoff <= depth if indices else not u.has_fvar:
+            done.append(u)
+        else:
+            kids = _children(u)
+            if kids:
+                todo.append((u, len(kids), depth))
+                if type(u) is Rec:
+                    depth += 1
+                todo.extend(reversed(kids))
+            else:
+                done.append(leaf(u, depth))
+    return done[0]
+
+
 def free_names(t: TypeExpr) -> frozenset:
     """Set of named free variables (binder indices are never free names)."""
-    if not t.has_fvar:
-        return frozenset()
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Rec):
-        return free_names(t.body)
-    if isinstance(t, (Input, Output)):
-        acc = free_names(t.cont)
-        for p in t.payloads:
-            acc |= free_names(p)
-        return acc
-    acc = frozenset()
-    for _, b in t.branches:
-        acc |= free_names(b)
-    return acc
+    names = set()
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is Var:
+            names.add(u.name)
+        elif u.has_fvar:
+            todo.extend(_children(u))
+    return frozenset(names)
 
 
 def shift(t: TypeExpr, by: int, floor: int = 0) -> TypeExpr:
     """Add *by* to every dangling de Bruijn index >= *floor*."""
-    if t.cutoff <= floor or by == 0:
+    if by == 0:
         return t
-    if isinstance(t, BoundVar):
-        return bvar(t.index + by) if t.index >= floor else t
-    if isinstance(t, Rec):
-        return rec(shift(t.body, by, floor + 1))
-    if isinstance(t, Input):
-        return inp([shift(p, by, floor) for p in t.payloads],
-                   shift(t.cont, by, floor))
-    if isinstance(t, Output):
-        return out([shift(p, by, floor) for p in t.payloads],
-                   shift(t.cont, by, floor))
-    if isinstance(t, Select):
-        return select([(l, shift(b, by, floor)) for l, b in t.branches])
-    return branch([(l, shift(b, by, floor)) for l, b in t.branches])
+    return _rewrite(t, floor, BoundVar, lambda u, d: bvar(u.index + by))
 
 
 def subst_top(t: TypeExpr, s: TypeExpr, depth: int = 0) -> TypeExpr:
     """Replace the binder variable at *depth* in *t* by *s* and strip that
     binder level (dangling indices above *depth* shift down by one)."""
-    if t.cutoff <= depth:
-        return t
-    if isinstance(t, BoundVar):
-        if t.index == depth:
-            return shift(s, depth)
-        if t.index > depth:
-            return bvar(t.index - 1)
-        return t
-    if isinstance(t, Rec):
-        return rec(subst_top(t.body, s, depth + 1))
-    if isinstance(t, Input):
-        return inp([subst_top(p, s, depth) for p in t.payloads],
-                   subst_top(t.cont, s, depth))
-    if isinstance(t, Output):
-        return out([subst_top(p, s, depth) for p in t.payloads],
-                   subst_top(t.cont, s, depth))
-    if isinstance(t, Select):
-        return select([(l, subst_top(b, s, depth)) for l, b in t.branches])
-    return branch([(l, subst_top(b, s, depth)) for l, b in t.branches])
+    return _rewrite(t, depth, BoundVar, lambda u, d:
+                    shift(s, d) if u.index == d else bvar(u.index - 1))
 
 
 def substitute(t: TypeExpr, x: str, s: TypeExpr) -> TypeExpr:
@@ -359,21 +369,7 @@ def substitute(t: TypeExpr, x: str, s: TypeExpr) -> TypeExpr:
     """
     if s.cutoff != 0:
         raise ValueError("replacement type has dangling binder indices")
-    if not t.has_fvar:
-        return t
-    if isinstance(t, Var):
-        return s if t.name == x else t
-    if isinstance(t, Rec):
-        return rec(substitute(t.body, x, s))
-    if isinstance(t, Input):
-        return inp([substitute(p, x, s) for p in t.payloads],
-                   substitute(t.cont, x, s))
-    if isinstance(t, Output):
-        return out([substitute(p, x, s) for p in t.payloads],
-                   substitute(t.cont, x, s))
-    if isinstance(t, Select):
-        return select([(l, substitute(b, x, s)) for l, b in t.branches])
-    return branch([(l, substitute(b, x, s)) for l, b in t.branches])
+    return _rewrite(t, 0, Var, lambda u, d: s if u.name == x else u)
 
 
 _unfold_cache: dict = {}
@@ -389,10 +385,16 @@ def unfold(t: TypeExpr) -> TypeExpr:
         return t
     u = _unfold_cache.get(t)
     if u is None:
-        if not t.contractive:
-            raise NotContractiveError(f"cannot unfold {render(t)}")
-        u = unfold(subst_top(t.body, t))
-        _unfold_cache[t] = u
+        stripped = []  # binders stripped on the way; all unfold to the result
+        u = t
+        while isinstance(u, Rec) and u not in _unfold_cache:
+            if not u.contractive:
+                raise NotContractiveError(f"cannot unfold {render(u)}")
+            stripped.append(u)
+            u = subst_top(u.body, u)
+        u = _unfold_cache.get(u, u)
+        for r in stripped:
+            _unfold_cache[r] = u
     return u
 
 
@@ -602,30 +604,39 @@ def _binder_names(t: TypeExpr) -> Iterator[str]:
 def render(t: TypeExpr) -> str:
     """Deterministic concrete syntax; re-parses to the identical value."""
     names = _binder_names(t)
-    return _render(t, [], names)
-
-
-def _render(t: TypeExpr, env: list, names: Iterator[str]) -> str:
-    if isinstance(t, End):
-        return "end"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, BoundVar):
-        if t.index < len(env):
-            return env[-1 - t.index]
-        return f"'{t.index - len(env)}"  # dangling index, debug rendering
-    if isinstance(t, Rec):
-        name = next(names)
-        env.append(name)
-        try:
-            body = _render(t.body, env, names)
-        finally:
+    env = []    # names of the binders on the current path, innermost last
+    out = []
+    todo = [t]  # nodes to render, text to emit, or None to leave a binder
+    while todo:
+        u = todo.pop()
+        cls = type(u)
+        if cls is str:
+            out.append(u)
+        elif u is None:
             env.pop()
-        return f"rec {name} . {body}"
-    if isinstance(t, (Input, Output)):
-        sigil = "?" if isinstance(t, Input) else "!"
-        payloads = ", ".join(_render(p, env, names) for p in t.payloads)
-        return f"{sigil}[{payloads}].{_render(t.cont, env, names)}"
-    sigil = "+" if isinstance(t, Select) else "&"
-    items = ", ".join(f"{l}: {_render(b, env, names)}" for l, b in t.branches)
-    return f"{sigil}{{ {items} }}"
+        elif cls is End:
+            out.append("end")
+        elif cls is Var:
+            out.append(u.name)
+        elif cls is BoundVar:  # a dangling index gets a debug rendering
+            i = u.index
+            out.append(env[-1 - i] if i < len(env) else f"'{i - len(env)}")
+        else:
+            # Emit the text before the first child now, and push each child
+            # over the text that follows it.
+            kids = _children(u)
+            if cls is Rec:
+                env.append(next(names))
+                out.append(f"rec {env[-1]} . ")
+                after = [None]
+            elif cls is Input or cls is Output:
+                out.append("?[" if cls is Input else "![")
+                after = [", "] * (len(kids) - 2) + ["].", ""]
+            else:
+                labels = [l for l, _ in u.branches]
+                out.append(f"{'+' if cls is Select else '&'}{{ {labels[0]}: ")
+                after = [f", {l}: " for l in labels[1:]] + [" }"]
+            for text, kid in zip(reversed(after), reversed(kids)):
+                todo.append(text)
+                todo.append(kid)
+    return "".join(out)

@@ -127,9 +127,30 @@ def test_check_deep_input(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "subtype"
 
 
+def test_check_deep_recursive_input(tmp_path, capsys):
+    deep = tmp_path / "deep.st"
+    deep.write_text("rec X . " + "?[end]." * 5000 + "X\n")
+    assert main(["check", str(deep), str(deep)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "subtype"
+
+
+# Past the default recursion limit of 1,000.  Every subterm is printed in
+# full, so the listing grows with the square of the depth.
+DEEP_SUBTERMS = 1100
+
+
+def test_subterms_deep_recursive_input(tmp_path, capsys):
+    deep = tmp_path / "deep.st"
+    deep.write_text("rec X . " + "?[end]." * DEEP_SUBTERMS + "X\n")
+    assert main(["subterms", str(deep)]) == EXIT_OK
+    # the binder, its unfolding and every suffix of that, and end
+    assert len(capsys.readouterr().out.splitlines()) == DEEP_SUBTERMS + 2
+
+
 def test_check_deep_input_is_an_input_error(files, capsys, monkeypatch):
-    # Parsing is iterative, but unfold, render and the depth-first searches
-    # recurse, so input past the recursion limit must still end in exit 2.
+    # Parsing and the structural operations are iterative, but the
+    # depth-first searches (inductive, memoized) recurse, so input past the
+    # recursion limit must still end in exit 2.
     def too_deep(text):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import time
@@ -8,15 +9,26 @@ from stcheck.errors import (
     DuplicateLabelError, EmptyArityError, NotContractiveError, ParseError,
     StcheckError,
 )
+from stcheck.bench import random_pair
+from stcheck.subterms import sub_bottom_up
 from stcheck.subtyping import check
 from stcheck.syntax import (
     End, Rec, Select,
     branch, bvar, end, free_names, inp, is_closed, is_contractive, mu, out,
-    parse, render, select, size, substitute, unfold, var,
+    parse, rec, render, select, shift, size, subst_top, substitute, unfold,
+    var,
 )
 from helpers import T1_TEXT, T2_TEXT
 
-DEEP_CHAIN = "?[end]." * 10**5 + "end"
+DEEP = 10**5
+DEEP_CHAIN = "?[end]." * DEEP + "end"
+
+
+def chain(tail, n=DEEP):
+    """``?[end].`` repeated *n* times in front of *tail*."""
+    for _ in range(n):
+        tail = inp([end()], tail)
+    return tail
 
 
 def test_parse_end():
@@ -73,6 +85,7 @@ def test_factories_validate_on_an_intern_miss():
     # validating, so each bad call below must miss and be checked.
     select([("a", end())])
     bvar(0)
+    var("X")
     inp([end()], end())
     branch([("a", end())])
     with pytest.raises(EmptyArityError):
@@ -85,6 +98,11 @@ def test_factories_validate_on_an_intern_miss():
         branch([("end", end())])
     with pytest.raises(ValueError):
         bvar(-1)
+    # a variable is what parse reads as one: render must not print a
+    # keyword or a label where a variable stands
+    for name in ("end", "x", "rec"):
+        with pytest.raises(ValueError):
+            var(name)
     with pytest.raises(DuplicateLabelError):
         branch([("a", end()), ("a", end())])
     with pytest.raises(DuplicateLabelError):
@@ -138,6 +156,72 @@ def test_parse_deep_input(text, expected_size):
 def test_deep_chain_gets_a_product_verdict():
     t = parse(DEEP_CHAIN)
     assert check(t, t, "product").verdict is True
+
+
+def within(seconds, fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    assert time.perf_counter() - start < seconds
+    return result
+
+
+def test_deep_chain_renders_and_reparses():
+    t = chain(end())
+    text = within(5.0, render, t)
+    assert text == DEEP_CHAIN
+    assert parse(text) is t
+
+
+def test_deep_chain_name_operations():
+    body = chain(var("X"))
+    assert within(5.0, free_names, body) == frozenset({"X"})
+    assert within(5.0, substitute, body, "X", end()) is chain(end())
+    bound = within(5.0, mu, "X", body)
+    assert bound is rec(chain(bvar(0)))
+    assert within(5.0, shift, bound.body, 2) is chain(bvar(2))
+
+
+def test_deep_chain_bottom_up_subterms():
+    # every suffix of the chain, down to the final end
+    assert len(within(5.0, sub_bottom_up, chain(end()))) == DEEP + 1
+
+
+def test_deep_body_unfolds():
+    t = rec(chain(bvar(0)))
+    assert within(5.0, unfold, t) is chain(t)
+
+
+def test_deep_binder_prefix_unfolds():
+    # 10^4 binders in a row; the innermost payload names the outermost one
+    n = 10**4
+    t = inp([bvar(n - 1)], end())
+    for _ in range(n):
+        t = rec(t)
+    assert within(5.0, unfold, t) is inp([t], end())
+
+
+def test_traversal_results_are_pinned():
+    """Subterm sets and unfoldings of 600 random types, pinned from the
+    recursive implementation.  Listing the children in another order than
+    the one nodes are rebuilt from, or losing count of the binder depth,
+    changes the unfoldings."""
+    s = var("S")
+    subterms = 0
+    unfolded = []
+    for i in range(300):
+        for t in random_pair(i, 40):
+            subs = sub_bottom_up(t)
+            subterms += len(subs)
+            unfolded.append(render(unfold(t)))
+            assert subst_top(shift(t, 1), s) is t
+            for u in subs:
+                if isinstance(u, Rec):  # a body has a dangling index
+                    assert subst_top(shift(u.body, 1), s) is u.body
+                    assert subst_top(shift(u.body, 1, 1), s, 1) is u.body
+    digest = hashlib.sha256("\n".join(unfolded).encode()).hexdigest()
+    assert subterms == 4894
+    assert digest == ("e36dd62e1751089b3a03752a2484e1176f0e5f74e246e006d33856fe"
+                      "5d04bb5d")
 
 
 def test_comments_and_whitespace():
