@@ -109,6 +109,8 @@ def cmd_bench(args) -> int:
         if algo not in subtyping.ALGORITHMS:
             raise StcheckError(f"unknown algorithm: {algo!r}")
     kmax = args.kmax
+    if kmax < 1:
+        raise StcheckError(f"--kmax must be at least 1, got {kmax}")
     records = []
     for algo in algorithms:
         top = kmax

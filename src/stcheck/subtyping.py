@@ -11,6 +11,8 @@ All four decide the same relation:
   from the root pair (quadratic).
 * ``allpairs``   -- the full pair grid with a backward sweep from the
   inconsistent pairs; yields verdicts for every pair of subterms at once.
+  Only same-constructor pairs of unfolded heads are stepped, each once;
+  ``product_edges`` still counts the moves of every cell of the grid.
 
 The subtyping rules are written once, in :func:`_step`.  It maps a pair
 to ``None`` when the pair is inconsistent (different head constructors,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -215,32 +217,49 @@ def subtype_product(t: TypeExpr, u: TypeExpr,
 
 
 def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
-    """Every pair over the joint subterm universe plus the terminal, and
-    the backward closure of the inconsistent ones: returns the universe,
-    that doomed set and the number of matched moves in the grid."""
+    """The grid over the joint subterm universe plus the terminal and the
+    backward closure of its inconsistent pairs, kept on distinct unfolded
+    heads: only pairs of heads with one constructor are stepped.  Returns
+    the universe, the test ``holds(l, r)`` on its members and the moves
+    summed over every universe cell (a head pair's moves times the
+    multiplicities of its two heads)."""
     universe = list(sub_pair(t, u)) + [SKIP]
+    head = {v: unfold(v) for v in universe}
+    count = Counter(head.values())
+    groups: Dict[type, List[Node]] = {}
+    for a in count:
+        groups.setdefault(type(a), []).append(a)
     doomed: Set[Tuple[Node, Node]] = set()
     reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
     edges = 0
-    for lv in universe:
+    for a in count:
         if deadline is not None and time.perf_counter() > deadline:
             raise DeadlineExceeded
-        for rv in universe:
-            node = (lv, rv)
-            moves = _step(lv, rv)
+        for b in groups[type(a)]:
+            node = (a, b)
+            moves = _step(a, b)
             if moves is None:
                 doomed.add(node)
                 continue
-            edges += len(moves)
+            edges += len(moves) * count[a] * count[b]
             for _, x, y in moves:
-                reverse.setdefault((x, y), []).append(node)
+                x, y = head[x], head[y]
+                if type(x) is type(y):
+                    reverse.setdefault((x, y), []).append(node)
+                else:
+                    doomed.add(node)
     stack = list(doomed)
     while stack:
         for pred in reverse.get(stack.pop(), ()):
             if pred not in doomed:
                 doomed.add(pred)
                 stack.append(pred)
-    return universe, doomed, edges
+
+    def holds(left: Node, right: Node) -> bool:
+        a, b = head[left], head[right]
+        return type(a) is type(b) and (a, b) not in doomed
+
+    return universe, holds, edges
 
 
 def subtype_all_pairs(t: TypeExpr, u: TypeExpr) -> FrozenSet[ProductNode]:
@@ -248,11 +267,10 @@ def subtype_all_pairs(t: TypeExpr, u: TypeExpr) -> FrozenSet[ProductNode]:
     the terminal) with T' a subtype of U': the complement of the backward
     closure of the inconsistent pairs."""
     _require_closed(t, u)
-    universe, doomed, _ = _sweep(t, u, None)
+    universe, holds, _ = _sweep(t, u, None)
     return frozenset(
         ProductNode(lv, rv)
-        for lv in universe for rv in universe
-        if (lv, rv) not in doomed)
+        for lv in universe for rv in universe if holds(lv, rv))
 
 
 def subtype_allpairs_report(t: TypeExpr, u: TypeExpr,
@@ -260,9 +278,9 @@ def subtype_allpairs_report(t: TypeExpr, u: TypeExpr,
     """Verdict for the root pair via the all-pairs backward sweep."""
     _require_closed(t, u)
     start = time.perf_counter()
-    universe, doomed, edges = _sweep(t, u, deadline)
+    universe, holds, edges = _sweep(t, u, deadline)
     return SubtypeReport(
-        verdict=(t, u) not in doomed,
+        verdict=holds(t, u),
         algorithm="allpairs",
         counters={"product_nodes": len(universe) ** 2, "product_edges": edges},
         elapsed=time.perf_counter() - start,
@@ -405,9 +423,11 @@ def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
     seen = {root}
     while queue:
         p = queue.popleft()
-        if is_inconsistent(p):
+        moves = _step(*p)
+        if moves is None:
             bad.add(p)
-        succs = adjacency[p] = product_successors(p)
+        succs = adjacency[p] = [(a, ProductNode(x, y))
+                                for a, x, y in _action_order(moves or ())]
         for _, q in succs:
             if q not in seen:
                 seen.add(q)

@@ -120,6 +120,15 @@ def test_bench_bad_algo(capsys):
     assert main(["bench", "--kmax", "1", "--algos", "bogus"]) == EXIT_ERROR
 
 
+def test_bench_kmax_below_one(capsys):
+    for kmax in ("0", "-3"):
+        assert main(["bench", "--kmax", kmax, "--algos", "product"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--kmax must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_check_deep_input(tmp_path, capsys):
     deep = tmp_path / "deep.st"
     deep.write_text("?[end]." * 5000 + "end\n")

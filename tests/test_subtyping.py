@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -16,6 +17,7 @@ from stcheck.subtyping import (
     product_successors, subtype_all_pairs, subtype_inductive,
     subtype_memoized, subtype_product,
 )
+from stcheck.subterms import sub_pair
 from stcheck.syntax import end, inp, out, parse, size, unfold, var
 
 
@@ -146,12 +148,53 @@ def test_all_pairs_contains_relation(t1, t2, t3):
     assert ProductNode(SKIP, SKIP) in both
 
 
+def _relation_by_product(t, u):
+    """Every cell of the universe grid that subtype_product accepts, with
+    (SKIP, SKIP) in and SKIP against a type out."""
+    def holds(l, r):
+        if l is SKIP or r is SKIP:
+            return l is r
+        return subtype_product(l, r).verdict
+
+    universe = list(sub_pair(t, u)) + [SKIP]
+    return {ProductNode(l, r)
+            for l in universe for r in universe if holds(l, r)}
+
+
 def test_all_pairs_matches_product_on_grid(t2, t3):
-    good = subtype_all_pairs(t2, t3)
-    for p in good:
-        if p.left is SKIP or p.right is SKIP:
-            continue
-        assert subtype_product(p.left, p.right).verdict
+    pairs = [(t2, t3)] + [random_pair(i, 40) for i in range(200)]
+    pairs += [gen_blowup_family(k) for k in range(1, 7)]
+    # several members of this universe share one unfolded head
+    pairs.append((parse("rec X . ?[end].X"),
+                  parse("?[end].rec X . ?[end].X")))
+    for t, u in pairs:
+        assert subtype_all_pairs(t, u) == _relation_by_product(t, u)
+
+
+# allpairs (product_nodes, product_edges) on true pairs.  product_edges
+# counts the matched moves of every cell of the subterm grid, so a head
+# shared by several subterms counts once for each of them.
+ALLPAIRS_COUNTERS_ON_BLOWUP = {
+    1: (49, 108), 2: (121, 300), 3: (225, 588), 4: (361, 972),
+    5: (529, 1452), 6: (729, 2028), 7: (961, 2700), 8: (1225, 3468),
+    9: (1521, 4332), 10: (1849, 5292),
+}
+ALLPAIRS_COUNTERS_ON_TRUE_RANDOM_PAIRS = {69: (4, 1), 89: (9, 4), 167: (4, 1)}
+
+
+def test_allpairs_counters_on_true_pairs():
+    def counters(t, u):
+        report = check(t, u, "allpairs")
+        assert report.verdict
+        return report.counters["product_nodes"], report.counters["product_edges"]
+
+    assert {k: counters(*gen_blowup_family(k)) for k in range(1, 11)} \
+        == ALLPAIRS_COUNTERS_ON_BLOWUP
+    true_pairs = {i: random_pair(i, 40) for i in range(300)}
+    true_pairs = {i: p for i, p in true_pairs.items()
+                  if subtype_product(*p).verdict}
+    assert {i: counters(*p) for i, p in true_pairs.items()} \
+        == ALLPAIRS_COUNTERS_ON_TRUE_RANDOM_PAIRS
 
 
 def test_allpairs_deadline_overshoot_is_bounded():
@@ -229,6 +272,21 @@ def test_export_product_dot(t1, t2, t3):
     assert "doubleoctagon" in dot
     root_line = next(l for l in dot.splitlines() if "doubleoctagon" in l)
     assert "fillcolor" in root_line
+
+
+# SHA-256 of the concatenated DOT of (t2, t3), (t1, t2), random_pair(i, 40)
+# for i < 300 and gen_blowup_family(k) for k <= 4, in that order: the
+# export's exact bytes, node order, styles and edge labels included.
+PRODUCT_DOT_SHA256 = (
+    "f7ef1d57c68abad2682b71a7f15865fe57f62be3770c9ba14bd1d5b85748dccf")
+
+
+def test_export_product_dot_is_pinned(t1, t2, t3):
+    pairs = [(t2, t3), (t1, t2)]
+    pairs += [random_pair(i, 40) for i in range(300)]
+    pairs += [gen_blowup_family(k) for k in range(1, 5)]
+    dot = "".join(export_product_dot(t, u) for t, u in pairs)
+    assert hashlib.sha256(dot.encode()).hexdigest() == PRODUCT_DOT_SHA256
 
 
 def test_agreement_on_random_pairs():
