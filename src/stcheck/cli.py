@@ -104,6 +104,8 @@ def cmd_bench(args) -> int:
             timeout = int(env) / 1000.0
         except ValueError:
             raise StcheckError(f"invalid STCHECK_TIMEOUT_MS: {env!r}")
+        if timeout <= 0:
+            raise StcheckError(f"STCHECK_TIMEOUT_MS must be at least 1, got {env}")
     algorithms = args.algos.split(",") if args.algos else list(subtyping.ALGORITHMS)
     for algo in algorithms:
         if algo not in subtyping.ALGORITHMS:

@@ -22,25 +22,34 @@ matched moves, which are the premises of the rule.  Output payloads swap
 the pair (contravariance); ``end``/``end`` steps to the terminal pair
 ``(SKIP, SKIP)``, which has no moves.
 
+Each unfolded head is compiled once, on its first step, into a table: its
+kind, its payload arity or label tuple, and its actions and successors in
+both orders below.  Every node maps to its head's table, so a step costs
+two lookups, not two unfoldings, and it zips the two tables' successors.
+The action tuples are shared by all heads of one kind with one arity or
+one label tuple, so one identity test matches two heads.
+
 The searches visit the moves in two orders, and both are kept because the
-counters they produce are pinned by the tests and the benchmark:
+counters they produce are pinned by the tests and the benchmark.  Each
+reads its order from the tables (``RULE`` or ``CONT_FIRST``):
 
 * ``inductive`` and ``memoized`` visit them in rule order, payloads
   before the continuation, and never visit the terminal pair: in the
   syntactic rules ``end``/``end`` is an axiom, not a move.
 * ``product`` and the pair-graph export visit them in :class:`Action`
-  order, the continuation first (:func:`_action_order`).
+  order, the continuation first.
 
-Choice labels come in label order on both paths.
+Choice labels come in label order in both.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import OpenTypeError, StcheckError
 from .lts import (
@@ -49,7 +58,8 @@ from .lts import (
 )
 from .subterms import sub_pair
 from .syntax import (
-    Branch, End, Input, Output, Select, TypeExpr, is_closed, render, unfold,
+    Branch, End, Input, Output, Rec, Select, TypeExpr, is_closed, render,
+    unfold,
 )
 
 __all__ = [
@@ -87,93 +97,125 @@ class SubtypeReport:
             self.counters.setdefault(key, 0)
 
 
-Move = Tuple[Action, Node, Node]
-
-_END_MOVES: Tuple[Move, ...] = ((act_end, SKIP, SKIP),)
-
-
 def _require_closed(t: TypeExpr, u: TypeExpr) -> None:
     for side in (t, u):
         if side is not SKIP and not is_closed(side):
             raise OpenTypeError(f"type has free variables: {render(side)}")
 
 
-def _step(left: Node, right: Node) -> Optional[Sequence[Move]]:
-    """The rules: ``None`` for an inconsistent pair, else its moves in rule
-    order as (action, left successor, right successor)."""
-    a = unfold(left)
-    b = unfold(right)
-    kind = type(a)
-    if type(b) is not kind:
-        return None
-    if kind is Input or kind is Output:
-        if len(a.payloads) != len(b.payloads):
-            return None
-        acts = _head_actions.get(a) or _actions(a)
-        if kind is Input:
-            moves = list(zip(acts, a.payloads, b.payloads))
-        else:
-            moves = list(zip(acts, b.payloads, a.payloads))
-        moves.append((acts[-1], a.cont, b.cont))
-        return moves
-    if kind is Branch:  # the left's labels must all exist on the right
-        rights = dict(b.branches)
-        moves = []
-        for act, (label, x) in zip(_head_actions.get(a) or _actions(a),
-                                   a.branches):
-            y = rights.get(label)
-            if y is None:
-                return None
-            moves.append((act, x, y))
-        return moves
-    if kind is Select:  # the right's labels must all exist on the left
-        lefts = dict(a.branches)
-        moves = []
-        for act, (label, y) in zip(_head_actions.get(b) or _actions(b),
-                                   b.branches):
-            x = lefts.get(label)
-            if x is None:
-                return None
-            moves.append((act, x, y))
-        return moves
-    if kind is End:
-        return _END_MOVES
-    if kind is Skip:
-        return ()
-    return None  # a free variable at the head
+# A compiled head: (kind, arity or label tuple, actions and successors in
+# rule order, actions and successors in Action order).
+Table = Tuple[type, object, Tuple[Action, ...], Tuple[Node, ...],
+              Tuple[Action, ...], Tuple[Node, ...]]
+
+# Index of an order's action tuple in a table; its successors follow.
+RULE = 2
+CONT_FIRST = 4
+
+# Each stepped node's head table: a binder and its unfolding share one.
+_tables: Dict[Node, Table] = {}
+# (kind, arity or label tuple) -> (rule-order actions, Action-order
+# actions, the key): two heads with the same action tuple, by identity,
+# have the same kind and the same arity or labels.
+_action_tuples: Dict[tuple, tuple] = {}
+
+_END_TABLE: Table = (End, None, (act_end,), (SKIP,), (act_end,), (SKIP,))
+_SKIP_TABLE: Table = (Skip, None, (), (), (), ())
 
 
-# Actions of each unfolded head in rule order, built once per head:
-# building an Action costs more than the rest of a step.
-_head_actions: Dict[TypeExpr, Tuple[Action, ...]] = {}
-
-
-def _actions(head: TypeExpr) -> Tuple[Action, ...]:
-    kind = type(head)
-    if kind is Input:
-        acts = (*map(in_payload, range(1, len(head.payloads) + 1)), act_in_cont)
-    elif kind is Output:
-        acts = (*map(out_payload, range(1, len(head.payloads) + 1)), act_out_cont)
-    elif kind is Branch:
-        acts = tuple(bra_label(label) for label, _ in head.branches)
+def _table(node: Node) -> Table:
+    """Compile the unfolded head of *node* and map *node* to its table."""
+    kind = type(node)
+    if kind is Rec:
+        head = unfold(node)
+        table = _tables.get(head) or _table(head)
+    elif kind is Input or kind is Output:
+        payloads = node.payloads
+        arity = len(payloads)
+        acts = _action_tuples.get((kind, arity)) or _share_actions(kind, arity)
+        table = (kind, arity, acts[0], payloads + (node.cont,),
+                 acts[1], (node.cont,) + payloads)
+    elif kind is Branch or kind is Select:
+        labels, succ = zip(*node.branches)
+        acts, _, labels = (_action_tuples.get((kind, labels))
+                           or _share_actions(kind, labels))
+        table = (kind, labels, acts, succ, acts, succ)
+    elif kind is End:
+        table = _END_TABLE
+    elif kind is Skip:
+        table = _SKIP_TABLE
     else:
-        acts = tuple(sel_label(label) for label, _ in head.branches)
-    _head_actions[head] = acts
-    return acts
+        raise OpenTypeError(f"type has free variables: {render(node)}")
+    _tables[node] = table
+    return table
 
 
-def _action_order(moves: Sequence[Move]) -> Sequence[Move]:
-    """Moves in :class:`Action` order: the continuation, last in rule
-    order, goes first."""
-    if moves and moves[-1][0] in (act_in_cont, act_out_cont):
-        return [moves[-1], *moves[:-1]]
-    return moves
+def _share_actions(kind: type, key):
+    """The action tuples in both orders and the key, shared by every head
+    of one kind with one arity or one label tuple."""
+    if kind is Input or kind is Output:
+        payload, cont = ((in_payload, act_in_cont) if kind is Input
+                         else (out_payload, act_out_cont))
+        payloads = tuple(map(payload, range(1, key + 1)))
+        acts = (payloads + (cont,), (cont,) + payloads, key)
+    else:
+        acts = tuple(map(bra_label if kind is Branch else sel_label, key))
+        acts = (acts, acts, key)
+    # setdefault is atomic under the GIL: threads that build the same
+    # tuples at once all get the first one stored.
+    return _action_tuples.setdefault((kind, key), acts)
+
+
+def _step(left: Node, right: Node, order: int = RULE):
+    """The rules: ``None`` for an inconsistent pair, else its moves as the
+    action tuple and the matched (left, right) successor pairs, both in
+    *order* (``RULE`` or ``CONT_FIRST``).  The pairs are an iterable to be
+    read once.
+
+    Two heads with the same action tuple zip their successors; output
+    payloads swap the pair (contravariance), the continuation does not.
+    Otherwise only choices can match: the left's branching labels must all
+    exist on the right, the right's selection labels on the left.
+    ``end``/``end`` moves to the terminal pair ``(SKIP, SKIP)``, which
+    has none."""
+    a = _tables.get(left) or _table(left)
+    b = _tables.get(right) or _table(right)
+    acts = a[order]
+    if acts is b[order]:
+        if a[0] is Output:
+            moves = list(zip(b[order + 1], a[order + 1]))
+            cont = -1 if order == RULE else 0
+            moves[cont] = moves[cont][::-1]
+            return acts, moves
+        return acts, zip(a[order + 1], b[order + 1])
+    kind = a[0]
+    if kind is Branch and b[0] is Branch:  # each left label on the right
+        found = _successors(a[1], b)
+        return None if found is None else (a[2], zip(a[3], found))
+    if kind is Select and b[0] is Select:  # each right label on the left
+        found = _successors(b[1], a)
+        return None if found is None else (b[2], zip(found, b[3]))
+    return None
+
+
+def _successors(labels: Tuple[str, ...], table: Table) -> Optional[List[Node]]:
+    """The successors of *table* under *labels*, or ``None`` if it lacks
+    one of them.  Label tuples are sorted."""
+    have, succ = table[1], table[3]
+    found = []
+    for label in labels:
+        i = bisect_left(have, label)
+        if i == len(have) or have[i] != label:
+            return None
+        found.append(succ[i])
+    return found
 
 
 def is_inconsistent(p: ProductNode) -> bool:
     """True when no rule applies to the pair: the unfolded heads are
     different constructors, or one side has a move the other must match
-    but cannot (a selection facing a branching is inconsistent too)."""
+    but cannot (a selection facing a branching is inconsistent too).
+    Raises :class:`OpenTypeError` on a free variable at a head."""
     return _step(*p) is None
 
 
@@ -181,7 +223,8 @@ def product_successors(p: ProductNode) -> List[Tuple[Action, ProductNode]]:
     """Matched moves of a pair in action order; output-payload moves yield
     the swapped pair.  An inconsistent pair has no moves: the list is
     empty, as it is for the terminal pair."""
-    return [(a, ProductNode(x, y)) for a, x, y in _action_order(_step(*p) or ())]
+    acts, pairs = _step(*p, CONT_FIRST) or ((), ())
+    return [(a, ProductNode(*q)) for a, q in zip(acts, pairs)]
 
 
 def subtype_product(t: TypeExpr, u: TypeExpr,
@@ -198,13 +241,13 @@ def subtype_product(t: TypeExpr, u: TypeExpr,
     while queue:
         if deadline is not None and time.perf_counter() > deadline:
             raise DeadlineExceeded
-        moves = _step(*queue.popleft())
+        moves = _step(*queue.popleft(), CONT_FIRST)
         if moves is None:
             verdict = False
             break
-        edges += len(moves)
-        for _, x, y in _action_order(moves):
-            q = (x, y)
+        acts, pairs = moves
+        edges += len(acts)
+        for q in pairs:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
@@ -241,8 +284,9 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
             if moves is None:
                 doomed.add(node)
                 continue
-            edges += len(moves) * count[a] * count[b]
-            for _, x, y in moves:
+            acts, pairs = moves
+            edges += len(acts) * count[a] * count[b]
+            for x, y in pairs:
                 x, y = head[x], head[y]
                 if type(x) is type(y):
                     reverse.setdefault((x, y), []).append(node)
@@ -317,7 +361,7 @@ def subtype_inductive(t: TypeExpr, u: TypeExpr,
             if moves is None:
                 return False
             # end/end is an axiom here: the terminal pair is no premise
-            for _, x, y in moves:
+            for x, y in moves[1]:
                 if x is not SKIP and not go(x, y):
                     return False
             return True
@@ -362,7 +406,7 @@ def subtype_memoized(t: TypeExpr, u: TypeExpr,
         if moves is None:
             return False
         # end/end is an axiom here: the terminal pair is no premise
-        for _, x, y in moves:
+        for x, y in moves[1]:
             if x is not SKIP and not go(x, y):
                 return False
         return True
@@ -423,11 +467,12 @@ def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
     seen = {root}
     while queue:
         p = queue.popleft()
-        moves = _step(*p)
+        moves = _step(*p, CONT_FIRST)
         if moves is None:
             bad.add(p)
-        succs = adjacency[p] = [(a, ProductNode(x, y))
-                                for a, x, y in _action_order(moves or ())]
+        acts, pairs = moves or ((), ())
+        succs = adjacency[p] = [(a, ProductNode(*q))
+                                for a, q in zip(acts, pairs)]
         for _, q in succs:
             if q not in seen:
                 seen.add(q)

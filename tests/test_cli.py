@@ -116,6 +116,15 @@ def test_bench_bad_timeout_env(monkeypatch, capsys):
     assert "STCHECK_TIMEOUT_MS" in capsys.readouterr().err
 
 
+def test_bench_timeout_below_one_ms(monkeypatch, capsys):
+    for value in ("0", "-5"):
+        monkeypatch.setenv("STCHECK_TIMEOUT_MS", value)
+        assert main(["bench", "--kmax", "2", "--algos", "product"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "STCHECK_TIMEOUT_MS must be at least 1" in captured.err
+
+
 def test_bench_bad_algo(capsys):
     assert main(["bench", "--kmax", "1", "--algos", "bogus"]) == EXIT_ERROR
 

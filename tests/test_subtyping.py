@@ -205,6 +205,72 @@ def test_allpairs_deadline_overshoot_is_bounded():
     assert time.perf_counter() - start - 0.05 < 0.5
 
 
+def test_search_deadline_overshoot_is_bounded():
+    for algo, k in (("product", 200), ("memoized", 200), ("inductive", 16)):
+        left, right = gen_blowup_family(k)
+        start = time.perf_counter()
+        with pytest.raises(DeadlineExceeded):
+            check(left, right, algo, deadline=start + 0.01)
+        assert time.perf_counter() - start - 0.01 < 0.5, algo
+
+
+# Counters of the three searches, in SEARCH_COUNTER_KEYS order, taken from
+# the commit before the head tables.  On a true pair each search visits all
+# it reaches, whatever the order of the moves; the weakened pairs are also
+# taken the other way round, where about a quarter are refuted and the
+# counters depend on the order in which each search visits the moves.
+SEARCH_COUNTER_KEYS = {
+    "product": ("product_nodes", "product_edges"),
+    "memoized": ("memo_entries", "judgements_visited"),
+    "inductive": ("judgements_visited", "max_context_depth"),
+}
+SEARCH_COUNTERS_ON_BLOWUP = {
+    1: ((2, 6), (2, 7), (7, 2)), 2: ((6, 18), (6, 19), (25, 6)),
+    3: ((12, 36), (12, 37), (79, 12)), 4: ((20, 60), (20, 61), (223, 20)),
+    5: ((30, 90), (30, 91), (577, 30)), 6: ((42, 126), (42, 127), (1405, 42)),
+    7: ((56, 168), (56, 169), (3283, 56)), 8: ((72, 216), (72, 217), (7459, 72)),
+}
+SEARCH_COUNTERS_ON_TRUE_RANDOM_PAIRS = {
+    69: ((2, 1), (1, 1), (1, 1)), 89: ((2, 1), (1, 1), (1, 1)),
+    167: ((2, 1), (1, 1), (1, 1)),
+}
+# Over (t, weaken(t)) and (weaken(t), t) for 300 random t, by verdict:
+# the number of pairs and the counter sums.
+SEARCH_COUNTER_SUMS_ON_WEAKENED = {
+    True: (453, ((2370, 3217), (1927, 3125), (3222, 1415))),
+    False: (147, ((724, 753), (530, 641), (655, 412))),
+}
+
+
+def search_counters(t, u):
+    return tuple(tuple(check(t, u, algo).counters[key] for key in keys)
+                 for algo, keys in SEARCH_COUNTER_KEYS.items())
+
+
+def test_search_counters_on_true_pairs():
+    assert {k: search_counters(*gen_blowup_family(k)) for k in range(1, 9)} \
+        == SEARCH_COUNTERS_ON_BLOWUP
+    true_pairs = {i: random_pair(i, 40) for i in range(300)}
+    assert {i: search_counters(*p) for i, p in true_pairs.items()
+            if subtype_product(*p).verdict} \
+        == SEARCH_COUNTERS_ON_TRUE_RANDOM_PAIRS
+    rng = random.Random(5)
+    sums = {True: [0, [[0, 0] for _ in SEARCH_COUNTER_KEYS]],
+            False: [0, [[0, 0] for _ in SEARCH_COUNTER_KEYS]]}
+    for seed in range(300):
+        t = gen_random(GenConfig(seed=seed, max_size=25))
+        u = weaken(t, rng)
+        for left, right in ((t, u), (u, t)):
+            entry = sums[subtype_product(left, right).verdict]
+            entry[0] += 1
+            for acc, values in zip(entry[1], search_counters(left, right)):
+                acc[0] += values[0]
+                acc[1] += values[1]
+    assert {verdict: (n, tuple(map(tuple, acc)))
+            for verdict, (n, acc) in sums.items()} \
+        == SEARCH_COUNTER_SUMS_ON_WEAKENED
+
+
 # Counter sums over the refuted pairs among random_pair(i, 40), i < 300
 # (297 pairs), in COUNTER_KEYS order.  A refuted search stops early, so
 # these sums pin the order in which each algorithm visits the moves.
@@ -258,6 +324,9 @@ def test_open_types_rejected(t1):
             check(var("X"), t1, algo)
         with pytest.raises(OpenTypeError):
             check(t1, inp([var("X")], end()), algo)
+    # a free variable at a head has no table to step
+    with pytest.raises(OpenTypeError):
+        is_inconsistent(ProductNode(var("X"), var("X")))
 
 
 def test_export_product_dot(t1, t2, t3):
