@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import subtyping
 from .subtyping import ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, SubtypeReport
-from .syntax import TypeExpr, bvar, end, inp, mu, out, rec, select, branch, size, var
+from .syntax import TypeExpr, bvar, end, inp, out, rec, select, branch, size
 
 __all__ = [
     "GenConfig", "BenchRecord", "gen_random", "gen_blowup_family",
@@ -140,13 +140,14 @@ def random_pair(seed: int, max_size: int = 40) -> Tuple[TypeExpr, TypeExpr]:
     return left, right
 
 
-def _blowup_tower(depth: int, prefix: str) -> TypeExpr:
-    def build(i: int) -> TypeExpr:
-        nxt = build(i + 1) if i < depth else var(f"{prefix}1")
-        back = var(f"{prefix}{max(1, i - 1)}")
-        root = var(f"{prefix}1")
-        return mu(f"{prefix}{i}", inp([back, root], nxt))
-    return build(1)
+def _blowup_tower(depth: int) -> TypeExpr:
+    """``rec X1 . ?[X1, X1]. rec X2 . ?[X1, X1]. ... rec Xi . ?[X(i-1), X1].
+    ... X1``, built bottom-up in nameless form: at level i the binder Xj is
+    ``bvar(i - j)``, and the innermost ``X1`` is ``bvar(depth - 1)``."""
+    t = bvar(depth - 1)
+    for i in range(depth, 0, -1):
+        t = rec(inp([bvar(min(1, i - 1)), bvar(i - 1)], t))
+    return t
 
 
 def gen_blowup_family(k: int) -> Tuple[TypeExpr, TypeExpr]:
@@ -154,7 +155,7 @@ def gen_blowup_family(k: int) -> Tuple[TypeExpr, TypeExpr]:
     verdict is true for every k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _blowup_tower(k, "X"), _blowup_tower(k + 1, "Y")
+    return _blowup_tower(k), _blowup_tower(k + 1)
 
 
 FAMILIES = {

@@ -2,10 +2,14 @@
 
 All four decide the same relation:
 
-* ``inductive``  -- recursive judgement search with a per-path assumption
-  context; sibling premises do not share contexts (worst-case exponential).
+* ``inductive``  -- depth-first judgement search with a per-path
+  assumption context; sibling premises do not share contexts (worst-case
+  exponential).
 * ``memoized``   -- the same search with one assumption set threaded
   through all premises in sequence; the first failing premise aborts.
+  Both run in :func:`_dfs`, one loop over an explicit stack of premise
+  iterators, so depth is bounded by memory, not the recursion limit; it
+  reads the deadline once per stepped pair, not per visit.
 * ``product``    -- lazy reachability on the pair graph of the two type
   LTSs: the left type is a subtype iff no inconsistent pair is reachable
   from the root pair (quadratic).
@@ -44,7 +48,6 @@ Choice labels come in label order in both.
 
 from __future__ import annotations
 
-import sys
 import time
 from bisect import bisect_left
 from collections import Counter, deque
@@ -119,7 +122,8 @@ _tables: Dict[Node, Table] = {}
 # have the same kind and the same arity or labels.
 _action_tuples: Dict[tuple, tuple] = {}
 
-_END_TABLE: Table = (End, None, (act_end,), (SKIP,), (act_end,), (SKIP,))
+_END_ACTS = (act_end,)
+_END_TABLE: Table = (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,))
 _SKIP_TABLE: Table = (Skip, None, (), (), (), ())
 
 
@@ -169,8 +173,7 @@ def _share_actions(kind: type, key):
 def _step(left: Node, right: Node, order: int = RULE):
     """The rules: ``None`` for an inconsistent pair, else its moves as the
     action tuple and the matched (left, right) successor pairs, both in
-    *order* (``RULE`` or ``CONT_FIRST``).  The pairs are an iterable to be
-    read once.
+    *order* (``RULE`` or ``CONT_FIRST``).  The pairs are an iterator.
 
     Two heads with the same action tuple zip their successors; output
     payloads swap the pair (contravariance), the continuation does not.
@@ -186,7 +189,7 @@ def _step(left: Node, right: Node, order: int = RULE):
             moves = list(zip(b[order + 1], a[order + 1]))
             cont = -1 if order == RULE else 0
             moves[cont] = moves[cont][::-1]
-            return acts, moves
+            return acts, iter(moves)
         return acts, zip(a[order + 1], b[order + 1])
     kind = a[0]
     if kind is Branch and b[0] is Branch:  # each left label on the right
@@ -331,6 +334,47 @@ def subtype_allpairs_report(t: TypeExpr, u: TypeExpr,
     )
 
 
+def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
+         deadline: Optional[float]) -> Tuple[bool, int, int, int]:
+    """The search of ``inductive`` (*retract*: an assumption ends when its
+    premises hold) and ``memoized`` (kept for the run), depth first in rule
+    order: the verdict, the visits, the assumptions held at the end and
+    the most held at once.  A pair is assumed before its step and holds
+    when met again.  A hit costs O(1) and a step adds at most its move
+    count of hits, so reading the deadline per step bounds the overshoot."""
+    clock = time.perf_counter
+    assumed: Set[Tuple[Node, Node]] = set()
+    path: List[Tuple[Node, Node]] = []  # the open pairs, root first
+    stack: list = []  # the premise iterator each open pair was taken from
+    it = iter(((t, u),))
+    visited = depth = 0
+    while True:
+        for pair in it:
+            visited += 1
+            if pair in assumed:
+                continue
+            if deadline is not None and clock() > deadline:
+                raise DeadlineExceeded
+            assumed.add(pair)
+            if len(assumed) > depth:
+                depth = len(assumed)
+            moves = _step(*pair)
+            if moves is None:
+                return False, visited, len(assumed), depth
+            stack.append(it)
+            path.append(pair)
+            # end/end is an axiom here: the terminal pair is no premise
+            it = () if moves[0] is _END_ACTS else moves[1]
+            break
+        else:  # every premise of the last open pair holds
+            if not path:
+                return True, visited, len(assumed), depth
+            pair = path.pop()
+            if retract:
+                assumed.discard(pair)
+            it = stack.pop()
+
+
 def subtype_inductive(t: TypeExpr, u: TypeExpr,
                       deadline: Optional[float] = None) -> SubtypeReport:
     """Judgement search with path-local assumption contexts.
@@ -341,44 +385,11 @@ def subtype_inductive(t: TypeExpr, u: TypeExpr,
     """
     _require_closed(t, u)
     start = time.perf_counter()
-    ctx: Set[Tuple[TypeExpr, TypeExpr]] = set()
-    visited = 0
-    max_depth = 0
-
-    def go(a: TypeExpr, b: TypeExpr) -> bool:
-        nonlocal visited, max_depth
-        visited += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            raise DeadlineExceeded
-        pair = (a, b)
-        if pair in ctx:
-            return True
-        ctx.add(pair)
-        if len(ctx) > max_depth:
-            max_depth = len(ctx)
-        try:
-            moves = _step(a, b)
-            if moves is None:
-                return False
-            # end/end is an axiom here: the terminal pair is no premise
-            for x, y in moves[1]:
-                if x is not SKIP and not go(x, y):
-                    return False
-            return True
-        finally:
-            ctx.discard(pair)
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 200_000))
-    try:
-        verdict = go(t, u)
-    finally:
-        sys.setrecursionlimit(limit)
+    verdict, visited, _, depth = _dfs(t, u, True, deadline)
     return SubtypeReport(
         verdict=verdict,
         algorithm="inductive",
-        counters={"judgements_visited": visited,
-                  "max_context_depth": max_depth},
+        counters={"judgements_visited": visited, "max_context_depth": depth},
         elapsed=time.perf_counter() - start,
     )
 
@@ -390,37 +401,11 @@ def subtype_memoized(t: TypeExpr, u: TypeExpr,
     caching, assumptions are never retracted)."""
     _require_closed(t, u)
     start = time.perf_counter()
-    seen: Set[Tuple[TypeExpr, TypeExpr]] = set()
-    visited = 0
-
-    def go(a: TypeExpr, b: TypeExpr) -> bool:
-        nonlocal visited
-        visited += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            raise DeadlineExceeded
-        pair = (a, b)
-        if pair in seen:
-            return True
-        seen.add(pair)
-        moves = _step(a, b)
-        if moves is None:
-            return False
-        # end/end is an axiom here: the terminal pair is no premise
-        for x, y in moves[1]:
-            if x is not SKIP and not go(x, y):
-                return False
-        return True
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 200_000))
-    try:
-        verdict = go(t, u)
-    finally:
-        sys.setrecursionlimit(limit)
+    verdict, visited, entries, _ = _dfs(t, u, False, deadline)
     return SubtypeReport(
         verdict=verdict,
         algorithm="memoized",
-        counters={"memo_entries": len(seen), "judgements_visited": visited},
+        counters={"memo_entries": entries, "judgements_visited": visited},
         elapsed=time.perf_counter() - start,
     )
 

@@ -9,7 +9,7 @@ from stcheck.bench import (
     run_bench, write_csv,
 )
 from stcheck.subtyping import subtype_inductive, subtype_product
-from stcheck.syntax import is_closed, is_contractive, render, size
+from stcheck.syntax import is_closed, is_contractive, parse, render, size
 
 
 # frozen baseline: judgements visited by the inductive algorithm on the
@@ -50,10 +50,22 @@ def test_random_pair_distinct_streams():
 
 
 def test_blowup_sizes():
-    for k in range(1, 8):
+    for k in (*range(1, 8), 10**5):
         left, right = gen_blowup_family(k)
         assert size(left) == 4 * k + 1
         assert size(right) == 4 * (k + 1) + 1
+
+
+def blowup_text(depth, name):
+    return "".join(f"rec {name}{i} . ?[{name}{max(1, i - 1)}, {name}1]."
+                   for i in range(1, depth + 1)) + f"{name}1"
+
+
+def test_blowup_family_is_the_named_towers():
+    for k in range(1, 201):
+        left, right = gen_blowup_family(k)
+        assert left is parse(blowup_text(k, "X"))
+        assert right is parse(blowup_text(k + 1, "Y"))
 
 
 def test_blowup_verdict_true():

@@ -138,10 +138,13 @@ def test_bench_kmax_below_one(capsys):
         assert "Traceback" not in captured.err
 
 
-def test_check_deep_input(tmp_path, capsys):
+@pytest.mark.parametrize("algo", [[], ["--algo", "inductive"],
+                                  ["--algo", "memoized"]],
+                         ids=["default", "inductive", "memoized"])
+def test_check_deep_input(tmp_path, capsys, algo):
     deep = tmp_path / "deep.st"
     deep.write_text("?[end]." * 5000 + "end\n")
-    assert main(["check", str(deep), str(deep)]) == EXIT_OK
+    assert main(["check", str(deep), str(deep), *algo]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "subtype"
 
 
@@ -166,9 +169,10 @@ def test_subterms_deep_recursive_input(tmp_path, capsys):
 
 
 def test_check_deep_input_is_an_input_error(files, capsys, monkeypatch):
-    # Parsing and the structural operations are iterative, but the
-    # depth-first searches (inductive, memoized) recurse, so input past the
-    # recursion limit must still end in exit 2.
+    # No function recurses on the depth of the input (test_no_recursion.py
+    # checks that).  The RecursionError handler in cli.main is a last
+    # guard: should a deep input still exhaust the stack somewhere, it ends
+    # in exit 2, never in a traceback.
     def too_deep(text):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -1,0 +1,54 @@
+"""No code path may recurse on the depth of its input: every input must end
+in a verdict or a StcheckError, never in a RecursionError.  These checks
+read the source with ``ast``; they catch a function that calls itself by
+name and any change of the interpreter's recursion limit."""
+
+import ast
+import pathlib
+
+import stcheck
+
+SOURCES = sorted(pathlib.Path(stcheck.__file__).parent.glob("*.py"))
+
+# Self-calls whose depth is bounded by a constant or a parameter, not by
+# the input.
+BOUNDED_SELF_CALLS = {
+    # one level: an unfolded head is never a Rec
+    ("subtyping", "_table"),
+    # depth at most GenConfig.max_size: each level spends some budget
+    ("bench", "_gen"),
+}
+
+
+def calls(tree):
+    """The names called in *tree*: ``f(..)``, and ``x.f(..)`` with ``x`` a
+    name (``sys``, ``self``), not a call such as ``super()``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name):
+                yield func.attr
+
+
+def test_sources_found():
+    assert {p.stem for p in SOURCES} >= {"syntax", "subtyping", "bench"}
+
+
+def test_no_module_changes_the_recursion_limit():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        assert "setrecursionlimit" not in set(calls(tree)), path.name
+
+
+def test_no_function_calls_itself():
+    self_calls = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name in set(calls(node)):
+                self_calls.add((path.stem, node.name))
+    assert self_calls == BOUNDED_SELF_CALLS

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from stcheck.subtyping import (
     subtype_memoized, subtype_product,
 )
 from stcheck.subterms import sub_pair
-from stcheck.syntax import end, inp, out, parse, size, unfold, var
+from stcheck.syntax import end, inp, out, parse, select, size, unfold, var
 
 
 def relation_nodes(t1, t2, t3):
@@ -212,6 +213,44 @@ def test_search_deadline_overshoot_is_bounded():
         with pytest.raises(DeadlineExceeded):
             check(left, right, algo, deadline=start + 0.01)
         assert time.perf_counter() - start - 0.01 < 0.5, algo
+
+
+# Past every recursion limit the searches ever set (200,000 frames).
+DEEP_SEARCH = 3 * 10**5
+
+
+@pytest.fixture(scope="module")
+def deep_chains():
+    """A DEEP_SEARCH-deep ``?[end].`` chain, and the same chain with
+    ``+{ a: end }`` in place of the final ``end``."""
+    t, u = end(), select([("a", end())])
+    for _ in range(DEEP_SEARCH):
+        t, u = inp([end()], t), inp([end()], u)
+    return t, u
+
+
+# On (t, u) each level pair and its payload pair (end, end) are visited,
+# and the search stops at the bottom pair (end, +{ a: end }).
+DEEP_REFUTED_COUNTERS = {
+    "inductive": {"judgements_visited": 2 * DEEP_SEARCH + 1,
+                  "max_context_depth": DEEP_SEARCH + 1},
+    "memoized": {"judgements_visited": 2 * DEEP_SEARCH + 1,
+                 "memo_entries": DEEP_SEARCH + 2},
+    "product": {"product_nodes": DEEP_SEARCH + 3,
+                "product_edges": 2 * DEEP_SEARCH + 1},
+}
+
+
+@pytest.mark.parametrize("algo", sorted(DEEP_REFUTED_COUNTERS))
+def test_deep_chains_end_in_verdicts(deep_chains, algo):
+    t, u = deep_chains
+    limit = sys.getrecursionlimit()
+    assert check(t, t, algo).verdict is True
+    report = check(t, u, algo)
+    assert report.verdict is False
+    for key, value in DEEP_REFUTED_COUNTERS[algo].items():
+        assert report.counters[key] == value, key
+    assert sys.getrecursionlimit() == limit
 
 
 # Counters of the three searches, in SEARCH_COUNTER_KEYS order, taken from
