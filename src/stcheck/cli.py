@@ -40,8 +40,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StcheckError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _print_stats(report: subtyping.SubtypeReport) -> None:

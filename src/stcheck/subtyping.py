@@ -3,8 +3,10 @@
 All four decide the same relation:
 
 * ``inductive``  -- depth-first judgement search with a per-path
-  assumption context; sibling premises do not share contexts (worst-case
-  exponential).
+  assumption context; sibling premises do not share contexts, so it
+  visits worst-case exponentially many judgements.  The rules are applied
+  once per distinct pair: the premises of each stepped pair are kept for
+  the search and read back when the pair is met again off the path.
 * ``memoized``   -- the same search with one assumption set threaded
   through all premises in sequence; the first failing premise aborts.
   Both run in :func:`_dfs`, one loop over an explicit stack of premise
@@ -340,10 +342,17 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
     premises hold) and ``memoized`` (kept for the run), depth first in rule
     order: the verdict, the visits, the assumptions held at the end and
     the most held at once.  A pair is assumed before its step and holds
-    when met again.  A hit costs O(1) and a step adds at most its move
-    count of hits, so reading the deadline per step bounds the overshoot."""
+    when met again.  When the search retracts, each stepped pair's
+    premises are kept for the search, so a pair met again after its
+    assumption ended reads them back: :func:`_step` runs once per distinct
+    pair, while the visit count stays exponential.  A hit costs O(1) and
+    a step adds at most its move count of hits, so reading the deadline
+    per step bounds the overshoot."""
     clock = time.perf_counter
     assumed: Set[Tuple[Node, Node]] = set()
+    # Each stepped pair's premises, kept for the search when it retracts:
+    # only then can a pair be stepped again, and a refuted pair ends it.
+    premises: Dict[Tuple[Node, Node], tuple] = {}
     path: List[Tuple[Node, Node]] = []  # the open pairs, root first
     stack: list = []  # the premise iterator each open pair was taken from
     it = iter(((t, u),))
@@ -358,13 +367,19 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
             assumed.add(pair)
             if len(assumed) > depth:
                 depth = len(assumed)
+            stack.append(it)
+            path.append(pair)
+            if retract and pair in premises:
+                it = iter(premises[pair])
+                break
             moves = _step(*pair)
             if moves is None:
                 return False, visited, len(assumed), depth
-            stack.append(it)
-            path.append(pair)
             # end/end is an axiom here: the terminal pair is no premise
             it = () if moves[0] is _END_ACTS else moves[1]
+            if retract:
+                premises[pair] = it = tuple(it)
+                it = iter(it)
             break
         else:  # every premise of the last open pair holds
             if not path:

@@ -424,7 +424,7 @@ def unfold(t: TypeExpr) -> TypeExpr:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-    (?:[ \t\r\n]+|\#[^\n]*)*
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     ( [A-Za-z][A-Za-z0-9_]* | [?!]\[ | [+&]\{ | [\]\}.,:] | [\s\S] | )
 """, re.VERBOSE)
 _PUNCT = frozenset(("?[", "![", "+{", "&{", "]", "}", ".", ",", ":"))

@@ -84,6 +84,18 @@ def test_graph_to_file(files, tmp_path):
     assert out.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("command", ["lts", "graph"])
+def test_dot_to_unwritable_path_is_an_io_error(files, tmp_path, capsys,
+                                               command):
+    inputs = [files["t1"]] if command == "lts" else [files["t2"], files["t3"]]
+    # a missing directory, and a directory in place of the file
+    for out in (tmp_path / "missing" / "x.dot", tmp_path):
+        assert main([command, "-o", str(out), *inputs]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"stcheck: error: {out}: ")
+        assert "Traceback" not in captured.err
+
+
 def test_subterms_counts(files, capsys):
     assert main(["subterms", files["t1"]]) == EXIT_OK
     assert len(capsys.readouterr().out.strip().splitlines()) == 4

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from helpers import weaken
+from stcheck import subtyping
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import OpenTypeError
 from stcheck.lts import (
@@ -308,6 +309,31 @@ def test_search_counters_on_true_pairs():
     assert {verdict: (n, tuple(map(tuple, acc)))
             for verdict, (n, acc) in sums.items()} \
         == SEARCH_COUNTER_SUMS_ON_WEAKENED
+
+
+def test_inductive_steps_each_distinct_pair_once(monkeypatch):
+    """The visits of ``inductive`` stay exponential, but it applies the
+    rules once per distinct pair: as often as ``memoized``, which holds
+    each of the k*(k+1) pairs once."""
+    steps = 0
+    step = subtyping._step
+
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(subtyping, "_step", counting_step)
+    visited = {k: row[2][0] for k, row in SEARCH_COUNTERS_ON_BLOWUP.items()}
+    visited.update({9: 16621, 10: 36529})
+    for k, expected in visited.items():
+        left, right = gen_blowup_family(k)
+        steps = 0
+        report = subtype_inductive(left, right)
+        assert report.counters["judgements_visited"] == expected, k
+        stepped = steps
+        entries = subtype_memoized(left, right).counters["memo_entries"]
+        assert stepped == entries == k * (k + 1), k
 
 
 # Counter sums over the refuted pairs among random_pair(i, 40), i < 300
