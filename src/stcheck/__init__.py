@@ -1,7 +1,7 @@
 """Session-type subtyping: parsing, LTS construction, four decision
 algorithms and an empirical complexity benchmark."""
 
-from . import lts as _lts, subtyping as _subtyping, syntax as _syntax
+from . import lts as _lts, syntax as _syntax
 from .errors import (
     DuplicateLabelError, EmptyArityError, NotContractiveError,
     OpenTypeError, ParseError, StcheckError,
@@ -24,14 +24,13 @@ __version__ = "0.1.0"
 
 def cache_sizes() -> dict:
     """Entries in each module-level cache: the interned types, the
-    unfolded heads, the compiled head tables, the shared action tuples and
-    the transition maps."""
+    unfolded heads, the compiled head tables and the shared action
+    tuples."""
     return {
         "interned": len(_syntax._interned),
         "unfold": len(_syntax._unfold_cache),
-        "head_tables": len(_subtyping._tables),
-        "action_tuples": len(_subtyping._action_tuples),
-        "transitions": len(_lts._transitions_cache),
+        "head_tables": len(_lts._tables),
+        "action_tuples": len(_lts._action_tuples),
     }
 
 
@@ -47,6 +46,5 @@ def clear_caches() -> None:
     before it.
     """
     _syntax._unfold_cache.clear()
-    _subtyping._tables.clear()
-    _subtyping._action_tuples.clear()
-    _lts._transitions_cache.clear()
+    _lts._tables.clear()
+    _lts._action_tuples.clear()

@@ -17,19 +17,18 @@ Two instance families ship by default:
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import subtyping
-from .subtyping import ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, SubtypeReport
+from .subtyping import ALGORITHMS, COUNTER_KEYS, DeadlineExceeded
 from .syntax import TypeExpr, bvar, end, inp, out, rec, select, branch, size
 
 __all__ = [
     "GenConfig", "BenchRecord", "gen_random", "gen_blowup_family",
-    "random_pair", "run_bench", "write_csv", "read_csv", "fit_quadratic",
+    "random_pair", "run_bench", "write_csv", "fit_quadratic",
     "DEFAULT_TIMEOUT", "DEFAULT_KMAX_INDUCTIVE", "FAMILIES",
 ]
 
@@ -238,24 +237,6 @@ def write_csv(records: Iterable[BenchRecord], stream) -> None:
             r.counters.get("product_edges", 0),
             r.elapsed_ns, int(r.timed_out),
         ])
-
-
-def read_csv(stream) -> List[BenchRecord]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {header}")
-    records = []
-    for row in reader:
-        (family, k, sl, sr, algo, verdict, jv, me, pn, pe, ns, to) = row
-        records.append(BenchRecord(
-            family=family, k=int(k), size_left=int(sl), size_right=int(sr),
-            algorithm=algo, verdict=bool(int(verdict)),
-            counters={"judgements_visited": int(jv), "memo_entries": int(me),
-                      "product_nodes": int(pn), "product_edges": int(pe),
-                      "max_context_depth": 0},
-            elapsed_ns=int(ns), timed_out=bool(int(to))))
-    return records
 
 
 def fit_quadratic(ks: Sequence[int], ys: Sequence[int]) -> Tuple[float, float]:

@@ -187,16 +187,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point a failed stdout at the null device, so the interpreter's own
+    flush at exit drops what is still buffered instead of failing again
+    (which would turn the exit code into 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind it
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write surfaces here, not at exit
+        return code
     except StcheckError as exc:
         print(f"stcheck: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
         print("stcheck: error: input is nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:  # every file but stdout maps to StcheckError
+        _drop_stdout()
+        print(f"stcheck: error: cannot write output: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -2,18 +2,28 @@
 
 Nodes are (top-down) subterms plus the distinguished terminal ``SKIP``;
 actions mark termination, payloads, continuations and choice labels.
-Transitions are computed from the unfolded head, so a type and its
-unfolding have identical outgoing edges.
+
+Each unfolded head is compiled once, on first use, into a table: its
+kind, its payload arity or label tuple, and its actions and successors in
+two orders, rule order (``RULE``: payloads before the continuation) and
+:class:`Action` order (``CONT_FIRST``: the continuation first).  Every
+node maps to its head's table, so a type and its unfolding share one and
+have identical outgoing edges.  The action tuples are shared by all heads
+of one kind with one arity or one label tuple, so one identity test
+matches two heads.  :func:`transitions` reads a table in Action order and
+the subtyping searches zip two tables; there is no other encoding of a
+head's moves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
-    Branch, End, Input, Output, Select, TypeExpr, is_closed, render, unfold,
+    Branch, End, Input, Output, Rec, Select, TypeExpr, is_closed, render,
+    unfold,
 )
 
 __all__ = [
@@ -101,42 +111,78 @@ def action_name(a: Action) -> str:
     return f"+{arg}"
 
 
-_transitions_cache: Dict[TypeExpr, Dict[Action, Node]] = {}
-_EMPTY: Dict[Action, Node] = {}
+# A compiled head: (kind, arity or label tuple, actions and successors in
+# rule order, actions and successors in Action order).
+Table = Tuple[type, object, Tuple[Action, ...], Tuple[Node, ...],
+              Tuple[Action, ...], Tuple[Node, ...]]
+
+# Index of an order's action tuple in a table; its successors follow.
+RULE = 2
+CONT_FIRST = 4
+
+# Each compiled node's head table: a binder and its unfolding share one.
+_tables: Dict[Node, Table] = {}
+# (kind, arity or label tuple) -> (rule-order actions, Action-order
+# actions, the key): two heads with the same action tuple, by identity,
+# have the same kind and the same arity or labels.
+_action_tuples: Dict[tuple, tuple] = {}
+
+_END_ACTS = (act_end,)
+_END_TABLE: Table = (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,))
+_SKIP_TABLE: Table = (Skip, None, (), (), (), ())
+
+
+def _table(node: Node) -> Table:
+    """Compile the unfolded head of *node* and map *node* to its table."""
+    kind = type(node)
+    if kind is Rec:
+        head = unfold(node)
+        table = _tables.get(head) or _table(head)
+    elif kind is Input or kind is Output:
+        payloads = node.payloads
+        arity = len(payloads)
+        acts = _action_tuples.get((kind, arity)) or _share_actions(kind, arity)
+        table = (kind, arity, acts[0], payloads + (node.cont,),
+                 acts[1], (node.cont,) + payloads)
+    elif kind is Branch or kind is Select:
+        labels, succ = zip(*node.branches)
+        acts, _, labels = (_action_tuples.get((kind, labels))
+                           or _share_actions(kind, labels))
+        table = (kind, labels, acts, succ, acts, succ)
+    elif kind is End:
+        table = _END_TABLE
+    elif kind is Skip:
+        table = _SKIP_TABLE
+    else:
+        raise OpenTypeError(f"type has free variables: {render(node)}")
+    _tables[node] = table
+    return table
+
+
+def _share_actions(kind: type, key):
+    """The action tuples in both orders and the key, shared by every head
+    of one kind with one arity or one label tuple."""
+    if kind is Input or kind is Output:
+        payload, cont = ((in_payload, act_in_cont) if kind is Input
+                         else (out_payload, act_out_cont))
+        payloads = tuple(map(payload, range(1, key + 1)))
+        acts = (payloads + (cont,), (cont,) + payloads, key)
+    else:
+        acts = tuple(map(bra_label if kind is Branch else sel_label, key))
+        acts = (acts, acts, key)
+    # setdefault is atomic under the GIL: threads that build the same
+    # tuples at once all get the first one stored.
+    return _action_tuples.setdefault((kind, key), acts)
 
 
 def transitions(t: Node) -> Dict[Action, Node]:
-    """Outgoing edges of a node as an action-keyed map (deterministic LTS).
-    Raises :class:`OpenTypeError` on a type with free variables."""
-    if t is SKIP:
-        return _EMPTY
-    cached = _transitions_cache.get(t)
-    if cached is not None:
-        return cached
-    if not is_closed(t):
+    """Outgoing edges of a node as an action-keyed map (deterministic LTS),
+    read from its head's table in :class:`Action` order; a new dict per
+    call.  Raises :class:`OpenTypeError` on a type with free variables."""
+    if t is not SKIP and not is_closed(t):
         raise OpenTypeError(f"type has free variables: {render(t)}")
-    u = unfold(t)
-    result: Dict[Action, Node] = {}
-    if isinstance(u, End):
-        result[act_end] = SKIP
-    elif isinstance(u, Input):
-        result[act_in_cont] = u.cont
-        for i, p in enumerate(u.payloads, 1):
-            result[in_payload(i)] = p
-    elif isinstance(u, Output):
-        result[act_out_cont] = u.cont
-        for i, p in enumerate(u.payloads, 1):
-            result[out_payload(i)] = p
-    elif isinstance(u, Branch):
-        for l, b in u.branches:
-            result[bra_label(l)] = b
-    elif isinstance(u, Select):
-        for l, b in u.branches:
-            result[sel_label(l)] = b
-    else:  # unreachable for closed input
-        raise OpenTypeError(f"type has free variables: {render(t)}")
-    _transitions_cache[t] = result
-    return result
+    table = _tables.get(t) or _table(t)
+    return dict(zip(table[CONT_FIRST], table[CONT_FIRST + 1]))
 
 
 def out_degree(t: TypeExpr) -> int:
@@ -172,7 +218,7 @@ class TypeLts:
                 yield src, a, dst
 
     def successor(self, node: Node, action: Action) -> Optional[Node]:
-        return self.adjacency.get(node, _EMPTY).get(action)
+        return self.adjacency.get(node, {}).get(action)
 
 
 def build_lts(t: TypeExpr) -> TypeLts:

@@ -28,12 +28,9 @@ matched moves, which are the premises of the rule.  Output payloads swap
 the pair (contravariance); ``end``/``end`` steps to the terminal pair
 ``(SKIP, SKIP)``, which has no moves.
 
-Each unfolded head is compiled once, on its first step, into a table: its
-kind, its payload arity or label tuple, and its actions and successors in
-both orders below.  Every node maps to its head's table, so a step costs
-two lookups, not two unfoldings, and it zips the two tables' successors.
-The action tuples are shared by all heads of one kind with one arity or
-one label tuple, so one identity test matches two heads.
+A step reads the two heads' tables, which :mod:`stcheck.lts` compiles
+once per unfolded head, so it costs two lookups, not two unfoldings, and
+it zips the two tables' successors.
 
 The searches visit the moves in two orders, and both are kept because the
 counters they produce are pinned by the tests and the benchmark.  Each
@@ -56,15 +53,15 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
+from . import lts
 from .errors import OpenTypeError, StcheckError
 from .lts import (
-    SKIP, Action, Node, Skip, act_end, act_in_cont, act_out_cont, action_name,
-    bra_label, in_payload, out_payload, sel_label,
+    CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _table,
+    action_name,
 )
 from .subterms import sub_pair
 from .syntax import (
-    Branch, End, Input, Output, Rec, Select, TypeExpr, is_closed, render,
-    unfold,
+    Branch, Output, Select, TypeExpr, is_closed, render, unfold,
 )
 
 __all__ = [
@@ -74,6 +71,11 @@ __all__ = [
     "subtype_inductive", "subtype_memoized",
     "check", "is_subtype", "equal_coinductive", "export_product_dot",
 ]
+
+# Bound by assignment, not imported: CPython 3.11 compiles a call on an
+# attribute of an imported name, ``_tables.get(..)`` in :func:`_step`, as an
+# attribute load that builds a bound method on every step.
+_tables = lts._tables
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
                 "product_edges", "max_context_depth")
@@ -106,70 +108,6 @@ def _require_closed(t: TypeExpr, u: TypeExpr) -> None:
     for side in (t, u):
         if side is not SKIP and not is_closed(side):
             raise OpenTypeError(f"type has free variables: {render(side)}")
-
-
-# A compiled head: (kind, arity or label tuple, actions and successors in
-# rule order, actions and successors in Action order).
-Table = Tuple[type, object, Tuple[Action, ...], Tuple[Node, ...],
-              Tuple[Action, ...], Tuple[Node, ...]]
-
-# Index of an order's action tuple in a table; its successors follow.
-RULE = 2
-CONT_FIRST = 4
-
-# Each stepped node's head table: a binder and its unfolding share one.
-_tables: Dict[Node, Table] = {}
-# (kind, arity or label tuple) -> (rule-order actions, Action-order
-# actions, the key): two heads with the same action tuple, by identity,
-# have the same kind and the same arity or labels.
-_action_tuples: Dict[tuple, tuple] = {}
-
-_END_ACTS = (act_end,)
-_END_TABLE: Table = (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,))
-_SKIP_TABLE: Table = (Skip, None, (), (), (), ())
-
-
-def _table(node: Node) -> Table:
-    """Compile the unfolded head of *node* and map *node* to its table."""
-    kind = type(node)
-    if kind is Rec:
-        head = unfold(node)
-        table = _tables.get(head) or _table(head)
-    elif kind is Input or kind is Output:
-        payloads = node.payloads
-        arity = len(payloads)
-        acts = _action_tuples.get((kind, arity)) or _share_actions(kind, arity)
-        table = (kind, arity, acts[0], payloads + (node.cont,),
-                 acts[1], (node.cont,) + payloads)
-    elif kind is Branch or kind is Select:
-        labels, succ = zip(*node.branches)
-        acts, _, labels = (_action_tuples.get((kind, labels))
-                           or _share_actions(kind, labels))
-        table = (kind, labels, acts, succ, acts, succ)
-    elif kind is End:
-        table = _END_TABLE
-    elif kind is Skip:
-        table = _SKIP_TABLE
-    else:
-        raise OpenTypeError(f"type has free variables: {render(node)}")
-    _tables[node] = table
-    return table
-
-
-def _share_actions(kind: type, key):
-    """The action tuples in both orders and the key, shared by every head
-    of one kind with one arity or one label tuple."""
-    if kind is Input or kind is Output:
-        payload, cont = ((in_payload, act_in_cont) if kind is Input
-                         else (out_payload, act_out_cont))
-        payloads = tuple(map(payload, range(1, key + 1)))
-        acts = (payloads + (cont,), (cont,) + payloads, key)
-    else:
-        acts = tuple(map(bra_label if kind is Branch else sel_label, key))
-        acts = (acts, acts, key)
-    # setdefault is atomic under the GIL: threads that build the same
-    # tuples at once all get the first one stored.
-    return _action_tuples.setdefault((kind, key), acts)
 
 
 def _step(left: Node, right: Node, order: int = RULE):

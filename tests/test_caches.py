@@ -8,7 +8,7 @@ from stcheck import cache_sizes, clear_caches
 from stcheck.bench import gen_blowup_family, random_pair
 from stcheck.subtyping import ALGORITHMS, check
 
-DERIVED = ("unfold", "head_tables", "action_tuples", "transitions")
+DERIVED = ("unfold", "head_tables", "action_tuples")
 
 
 def import_time_sizes():
@@ -28,7 +28,6 @@ def test_clear_caches_restores_import_time_sizes():
         left, right = random_pair(i, 40)
         for algo in ALGORITHMS:
             check(left, right, algo)
-    stcheck.build_lts(left)  # the transition maps fill only through the LTS
     grown = cache_sizes()
     assert all(grown[name] > fresh[name] for name in DERIVED), grown
     clear_caches()
@@ -54,3 +53,17 @@ def run_stream(clear_between):
 
 def test_clearing_between_ops_changes_no_result():
     assert run_stream(True) == run_stream(False)
+
+
+def test_checks_reuse_the_tables_the_lts_compiled():
+    # build_lts and the searches read one table per head: once both LTSs
+    # are built, no check compiles another
+    ops = [gen_blowup_family(k) for k in range(1, 6)]
+    ops += [random_pair(i, 40) for i in range(200)]
+    for left, right in ops:
+        stcheck.build_lts(left)
+        stcheck.build_lts(right)
+        before = cache_sizes()["head_tables"]
+        for algo in ALGORITHMS:
+            check(left, right, algo)
+            assert cache_sizes()["head_tables"] == before, (left, right, algo)

@@ -1,9 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from helpers import T1_TEXT, T2_TEXT, T3_TEXT
+import stcheck
 from stcheck import cli
 from stcheck.bench import CSV_COLUMNS
 from stcheck.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
@@ -193,3 +197,32 @@ def test_check_deep_input_is_an_input_error(files, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("stcheck: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["lts", "check", "subterms", "bench"])
+def test_stdout_write_failure_is_an_io_error(files, command, buffered):
+    args = {
+        "lts": ["lts", files["t1"]],
+        "check": ["check", files["t2"], files["t1"]],
+        "subterms": ["subterms", files["t1"]],
+        "bench": ["bench", "--kmax", "2", "--algos", "product"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(stcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # buffered, the output is still pending at the interpreter's own flush
+    # at exit; unbuffered, the first write fails
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "stcheck.cli", *args],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    # exit 2, not 1 (not-subtype) and not 120 (a failed flush at exit)
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith("stcheck: error: ")
+    assert len(done.stderr.splitlines()) == 1

@@ -95,6 +95,15 @@ def test_unfold_invariance_of_lts(t2):
         assert a.adjacency[node] == b.adjacency[node]
 
 
+def test_lts_owns_its_adjacency(t2):
+    lts = build_lts(t2)
+    expected = dict(transitions(t2))
+    lts.adjacency[t2].clear()
+    lts.adjacency[t2][act_end] = SKIP
+    assert transitions(t2) == expected
+    assert build_lts(t2).adjacency[t2] == expected
+
+
 def test_determinism_property():
     # adjacency maps are action-keyed, so determinism holds by construction;
     # check successor lookup agrees with the map
