@@ -30,6 +30,8 @@ def _load(path: str) -> TypeExpr:
             text = fh.read()
     except OSError as exc:
         raise StcheckError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StcheckError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     try:
         return parse(text)
     except StcheckError as exc:

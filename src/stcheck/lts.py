@@ -222,16 +222,20 @@ class TypeLts:
 
 
 def build_lts(t: TypeExpr) -> TypeLts:
-    """Breadth-first reachable closure of :func:`transitions`."""
+    """Reachable closure of :func:`transitions`.  Only the root is tested
+    for closedness: every node reachable from a closed root is closed."""
+    if t is not SKIP and not is_closed(t):
+        raise OpenTypeError(f"type has free variables: {render(t)}")
     adjacency: Dict[Node, Dict[Action, Node]] = {}
     queue = [t]
     while queue:
         node = queue.pop()
         if node in adjacency:
             continue
-        succ = transitions(node)
-        adjacency[node] = succ
-        for dst in succ.values():
+        table = _tables.get(node) or _table(node)
+        succ = table[CONT_FIRST + 1]
+        adjacency[node] = dict(zip(table[CONT_FIRST], succ))
+        for dst in succ:
             if dst not in adjacency:
                 queue.append(dst)
     return TypeLts(root=t, adjacency=adjacency)

@@ -6,10 +6,14 @@ node is hash-consed through a module-level interning table, so two
 alpha-equivalent types built in any order are the *same* Python object and
 equality/hashing are identity-based and O(1).
 
-Construction goes through the factory functions (``end``, ``var``,
-``bvar``, ``rec``, ``mu``, ``inp``, ``out``, ``select``, ``branch``);
-calling the class constructors directly bypasses interning and breaks the
-identity-equality invariant.
+Library callers construct through the factory functions (``end``,
+``var``, ``bvar``, ``rec``, ``mu``, ``inp``, ``out``, ``select``,
+``branch``), which validate their arguments on an interning miss; calling
+the class constructors directly bypasses interning and breaks the
+identity-equality invariant.  ``parse`` builds each node's interning key
+itself, the key the factory would build, and looks it up directly; on a
+miss it builds a compound node with ``_build``, the factories' own build
+step, without repeating the checks its grammar has already made.
 
 The structural operations walk a type with an explicit stack over one
 child listing, ``_children`` (payloads, then the continuation; branches in
@@ -121,8 +125,9 @@ class Branch(TypeExpr):
     __match_args__ = ("branches",)
 
 
-# Every factory looks its key up first and builds and validates a node only
-# on a miss: a hit is a node that passed the same checks under the same key.
+# Every factory, and parse, looks its key up first and builds and validates
+# a node only on a miss: a hit is a node that passed the same checks under
+# the same key.
 # A miss still inserts with dict.setdefault, which is atomic under the GIL
 # and gives lock-free concurrent interning: the first inserted node wins.
 _interned: dict = {}
@@ -215,15 +220,7 @@ def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
         return node
     if not payloads:
         raise EmptyArityError("payload list must be non-empty")
-    node = cls()
-    node.payloads = payloads
-    node.cont = cont
-    node.size = sum(p.size for p in payloads) + cont.size + 1
-    node.cutoff = max(cont.cutoff, max(p.cutoff for p in payloads))
-    node.has_fvar = cont.has_fvar or any(p.has_fvar for p in payloads)
-    node.contractive = cont.contractive and all(p.contractive for p in payloads)
-    node._chain = None
-    return _interned.setdefault(key, node)
+    return _build(key)
 
 
 def inp(payloads: Iterable[TypeExpr], cont: TypeExpr) -> Input:
@@ -251,12 +248,28 @@ def _branch_node(cls, branches):
     for a, b in zip(labels, labels[1:]):
         if a == b:
             raise DuplicateLabelError(f"duplicate label {a!r}")
-    node = cls()
-    node.branches = items
-    node.size = sum(b.size for _, b in items) + 1
-    node.cutoff = max(b.cutoff for _, b in items)
-    node.has_fvar = any(b.has_fvar for _, b in items)
-    node.contractive = all(b.contractive for _, b in items)
+    return _build(key)
+
+
+def _build(key: tuple):
+    """Build and intern the compound node of *key*, ``(cls, payloads,
+    cont)`` or ``(cls, items in label order)``, whose checks have passed."""
+    node = key[0]()
+    if len(key) == 3:
+        _, node.payloads, node.cont = key
+    else:
+        _, node.branches = key
+    size, cutoff, has_fvar, contractive = 1, 0, False, True
+    for kid in _children(node):
+        size += kid.size
+        if kid.cutoff > cutoff:
+            cutoff = kid.cutoff
+        has_fvar = has_fvar or kid.has_fvar
+        contractive = contractive and kid.contractive
+    node.size = size
+    node.cutoff = cutoff
+    node.has_fvar = has_fvar
+    node.contractive = contractive
     node._chain = None
     return _interned.setdefault(key, node)
 
@@ -444,6 +457,8 @@ def parse(text: str) -> TypeExpr:
     :class:`DuplicateLabelError` or :class:`EmptyArityError`.
     """
     toks = _TOKEN_RE.findall(text)
+    get = _interned.get
+    end_node = end()
     stack = []
     scope: dict = {}  # binder name -> depths of its binders, innermost last
     depth = 0         # number of enclosing binders
@@ -453,12 +468,15 @@ def parse(text: str) -> TypeExpr:
         tok = toks[i]
         i += 1
         if tok == "end":
-            node = end()
+            node = end_node
         elif tok == "?[" or tok == "![":
             stack.append([_PAYLOADS, Input if tok == "?[" else Output, []])
             continue
         elif tok == "+{" or tok == "&{":
-            label = _label(text, toks, i)
+            label = toks[i]
+            if not ("a" <= label[:1] <= "z" and label not in _KEYWORDS
+                    and toks[i + 1] == ":"):
+                _label(text, toks, i)
             i += 2
             cls = Select if tok == "+{" else Branch
             stack.append([_ITEMS, cls, [], label])
@@ -477,7 +495,11 @@ def parse(text: str) -> TypeExpr:
             continue
         elif "A" <= tok[:1] <= "Z":
             levels = scope.get(tok)
-            node = bvar(depth - 1 - levels[-1]) if levels else var(tok)
+            if levels:
+                index = depth - 1 - levels[-1]
+                node = get((BoundVar, index)) or bvar(index)
+            else:
+                node = var(tok)
         elif _IDENT_RE.match(tok):
             _fail(text, toks, i - 1, f"unexpected identifier {tok!r} "
                   "(variables start uppercase)", took=True)
@@ -487,13 +509,16 @@ def parse(text: str) -> TypeExpr:
                   took=True)
 
         # Hand the finished node to the open constructs, closing those it
-        # completes, until one needs another type.
+        # completes, until one needs another type.  A closed construct is
+        # looked up under the key its factory would build; on a miss it is
+        # built without the factory's checks, which the grammar has made.
         while stack:
             frame = stack[-1]
             kind = frame[0]
             if kind == _CONT:
                 stack.pop()
-                node = _payload_node(frame[1], frame[2], node)
+                key = (frame[1], tuple(frame[2]), node)
+                node = get(key) or _build(key)
             elif kind == _PAYLOADS:
                 frame[2].append(node)
                 tok = toks[i]
@@ -512,7 +537,11 @@ def parse(text: str) -> TypeExpr:
                 items.append((frame[3], node))
                 tok = toks[i]
                 if tok == ",":
-                    frame[3] = _label(text, toks, i + 1)
+                    label = toks[i + 1]
+                    if not ("a" <= label[:1] <= "z" and label not in _KEYWORDS
+                            and toks[i + 2] == ":"):
+                        _label(text, toks, i + 1)
+                    frame[3] = label
                     i += 3
                     break
                 if tok != "}":
@@ -521,12 +550,14 @@ def parse(text: str) -> TypeExpr:
                 if len({l for l, _ in items}) < len(items):
                     _duplicate(text, toks, i, items)
                 stack.pop()
-                node = _branch_node(frame[1], items)
+                items.sort()  # the labels differ, so this is label order
+                key = (frame[1], tuple(items))
+                node = get(key) or _build(key)
             else:
                 stack.pop()
                 scope[frame[1]].pop()
                 depth -= 1
-                node = rec(node)
+                node = get((Rec, node)) or rec(node)
         else:
             break
 
@@ -537,15 +568,14 @@ def parse(text: str) -> TypeExpr:
     return node
 
 
-def _label(text: str, toks: list, i: int) -> str:
-    """The label at toks[i], which must be followed by ':'."""
+def _label(text: str, toks: list, i: int) -> None:
+    """Raise the error for toks[i], which the parser read as a label that
+    must be followed by ':'."""
     label = toks[i]
     if not _LABEL_RE.match(label) or label in _KEYWORDS:
         _fail(text, toks, i, "expected a label (lowercase identifier)",
               took=True)
-    if toks[i + 1] != ":":
-        _fail(text, toks, i + 1, _expected(":", toks[i + 1]))
-    return label
+    _fail(text, toks, i + 1, _expected(":", toks[i + 1]))
 
 
 def _expected(punct: str, tok: str) -> str:

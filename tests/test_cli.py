@@ -226,3 +226,23 @@ def test_stdout_write_failure_is_an_io_error(files, command, buffered):
     assert done.returncode == EXIT_ERROR
     assert done.stderr.startswith("stcheck: error: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "lts", "subterms"])
+def test_non_utf8_input_is_an_input_error(files, tmp_path, command):
+    bad = tmp_path / "bad.st"
+    bad.write_bytes(b"end\xff")
+    args = {
+        "check": ["check", str(bad), files["end"]],
+        "lts": ["lts", str(bad)],
+        "subterms": ["subterms", str(bad)],
+    }[command]
+    src = os.path.dirname(os.path.dirname(stcheck.__file__))
+    done = subprocess.run([sys.executable, "-m", "stcheck.cli", *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    # exit 2, not 1 (not-subtype)
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith(f"stcheck: error: {bad}: not UTF-8 text")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stdout == ""

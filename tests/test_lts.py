@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from stcheck.bench import GenConfig, gen_random
@@ -6,7 +8,7 @@ from stcheck.lts import (
     SKIP, act_end, act_in_cont, act_out_cont, build_lts, in_payload,
     lts_to_dot, out_degree, out_payload, sel_label, transitions,
 )
-from stcheck.syntax import end, inp, parse, size, unfold, var
+from stcheck.syntax import bvar, end, inp, parse, render, size, unfold, var
 
 
 def test_transitions_end():
@@ -37,6 +39,12 @@ def test_transitions_open_type_rejected():
         transitions(var("X"))
     with pytest.raises(OpenTypeError):
         transitions(inp([var("X")], end()))
+
+
+def test_build_lts_rejects_an_open_root():
+    for t in (var("X"), inp([var("X")], end()), inp([end()], bvar(0))):
+        with pytest.raises(OpenTypeError, match=re.escape(render(t))):
+            build_lts(t)
 
 
 def test_skip_has_no_transitions():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import random
 import time
 
 import pytest
@@ -9,11 +10,11 @@ from stcheck.errors import (
     DuplicateLabelError, EmptyArityError, NotContractiveError, ParseError,
     StcheckError,
 )
-from stcheck.bench import random_pair
+from stcheck.bench import GenConfig, gen_random, random_pair
 from stcheck.subterms import sub_bottom_up
 from stcheck.subtyping import check
 from stcheck.syntax import (
-    End, Rec, Select,
+    Branch, BoundVar, End, Input, Output, Rec, Select, Var, _children,
     branch, bvar, end, free_names, inp, is_closed, is_contractive, mu, out,
     parse, rec, render, select, shift, size, subst_top, substitute, unfold,
     var,
@@ -307,3 +308,118 @@ def test_branch_order_is_canonical():
     b = parse("&{ a: ?[end].end, b: end }")
     assert a is b
     assert render(a) == render(b)
+
+
+def shuffled_text(t, rng, suffix="", depth=0):
+    """Concrete syntax of the closed type *t*, each choice's items in a
+    random order and each label followed by *suffix*; the binder at depth
+    d is named R{d}."""
+    if type(t) is End:
+        return "end"
+    if type(t) is BoundVar:
+        return f"R{depth - 1 - t.index}"
+    if type(t) is Rec:
+        return f"rec R{depth} . {shuffled_text(t.body, rng, suffix, depth + 1)}"
+    if type(t) in (Input, Output):
+        payloads = ", ".join(shuffled_text(p, rng, suffix, depth)
+                             for p in t.payloads)
+        cont = shuffled_text(t.cont, rng, suffix, depth)
+        return f"{'?' if type(t) is Input else '!'}[{payloads}].{cont}"
+    items = list(t.branches)
+    rng.shuffle(items)
+    body = ", ".join(f"{l}{suffix}: {shuffled_text(b, rng, suffix, depth)}"
+                     for l, b in items)
+    return f"{'+' if type(t) is Select else '&'}{{ {body} }}"
+
+
+def relabelled(t, suffix):
+    """*t* rebuilt through the factories with *suffix* after every label."""
+    if type(t) is Rec:
+        return rec(relabelled(t.body, suffix))
+    if type(t) in (Input, Output):
+        return (inp if type(t) is Input else out)(
+            [relabelled(p, suffix) for p in t.payloads],
+            relabelled(t.cont, suffix))
+    if type(t) in (Select, Branch):
+        return (select if type(t) is Select else branch)(
+            [(l + suffix, relabelled(b, suffix)) for l, b in t.branches])
+    return t
+
+
+def recomputed(t):
+    """(size, cutoff, has_fvar, contractive, _chain) of *t* from their
+    definitions, over ``_children`` and without reading an attribute."""
+    kids = [recomputed(k) for k in _children(t)]
+    cls = type(t)
+    size = 1 + sum(k[0] for k in kids)
+    if cls is BoundVar:
+        cutoff = t.index + 1
+    elif cls is Rec:
+        cutoff = max(0, kids[0][1] - 1)
+    else:
+        cutoff = max([k[1] for k in kids], default=0)
+    has_fvar = cls is Var or any(k[2] for k in kids)
+    contractive = all(k[3] for k in kids)
+    chain = (0, t.index) if cls is BoundVar else None
+    if cls is Rec:
+        # Rec^m(u), u not a Rec: a cycle iff u is one of these m binders
+        m, u = 0, t
+        while type(u) is Rec:
+            m, u = m + 1, u.body
+        if type(u) is BoundVar:
+            chain = (m, u.index)
+            contractive = contractive and u.index >= m
+    return size, cutoff, has_fvar, contractive, chain
+
+
+def random_types(n=2000):
+    return [gen_random(GenConfig(seed=i, max_labels=6)) for i in range(n)]
+
+
+def test_parse_returns_the_factory_built_node():
+    rng = random.Random(0)
+    reordered = 0
+    for t in random_types():
+        text = shuffled_text(t, rng)
+        reordered += text != render(t)
+        assert parse(text) is t, text
+    assert reordered > 500
+
+
+def test_parse_misses_build_the_factory_node_and_attributes():
+    # Labels unique to this test make every choice node, and every node
+    # above one, a miss that parse builds itself.
+    suffix = "_parse_miss_q7"
+    rng = random.Random(1)
+    misses = 0
+    for t in random_types():
+        u = parse(shuffled_text(t, rng, suffix))
+        todo = [u]
+        while todo:
+            v = todo.pop()
+            assert (v.size, v.cutoff, v.has_fvar, v.contractive,
+                    v._chain) == recomputed(v), render(v)
+            todo.extend(_children(v))
+        misses += u is not t
+        assert render(u).replace(suffix, "") == render(t)
+        assert relabelled(t, suffix) is u
+    assert misses > 500
+    # a cycle in any child, not only in the last one, is not contractive
+    for text in ("?[rec X . X, end].end", "![end].rec X . X",
+                 f"+{{ a{suffix}: rec X . X, b{suffix}: end }}"):
+        with pytest.raises(NotContractiveError):
+            parse(text)
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("&{ rec: end }", 1, 4, "expected a label (lowercase identifier)"),
+    ("+{ a: end, end: end }", 1, 12, "expected a label (lowercase identifier)"),
+    ("+{ a: end, B: end }", 1, 12, "expected a label (lowercase identifier)"),
+    ("+{ a end }", 1, 6, "expected ':', found 'end'"),
+    ("+{ a: end, b end }", 1, 14, "expected ':', found 'end'"),
+])
+def test_labels_are_checked_first_and_later(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"{line}:{col}: {message}"
