@@ -18,7 +18,7 @@ head's moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
@@ -175,12 +175,19 @@ def _share_actions(kind: type, key):
     return _action_tuples.setdefault((kind, key), acts)
 
 
+def _require_closed(t: Node, u: Node = SKIP) -> None:
+    """Raise :class:`OpenTypeError` on the first of *t* and *u* with free
+    variables."""
+    for node in (t, u):
+        if node is not SKIP and not is_closed(node):
+            raise OpenTypeError(f"type has free variables: {render(node)}")
+
+
 def transitions(t: Node) -> Dict[Action, Node]:
     """Outgoing edges of a node as an action-keyed map (deterministic LTS),
     read from its head's table in :class:`Action` order; a new dict per
     call.  Raises :class:`OpenTypeError` on a type with free variables."""
-    if t is not SKIP and not is_closed(t):
-        raise OpenTypeError(f"type has free variables: {render(t)}")
+    _require_closed(t)
     table = _tables.get(t) or _table(t)
     return dict(zip(table[CONT_FIRST], table[CONT_FIRST + 1]))
 
@@ -212,20 +219,11 @@ class TypeLts:
     def num_edges(self) -> int:
         return sum(len(succ) for succ in self.adjacency.values())
 
-    def edges(self) -> Iterator[Tuple[Node, Action, Node]]:
-        for src, succ in self.adjacency.items():
-            for a, dst in succ.items():
-                yield src, a, dst
-
-    def successor(self, node: Node, action: Action) -> Optional[Node]:
-        return self.adjacency.get(node, {}).get(action)
-
 
 def build_lts(t: TypeExpr) -> TypeLts:
     """Reachable closure of :func:`transitions`.  Only the root is tested
     for closedness: every node reachable from a closed root is closed."""
-    if t is not SKIP and not is_closed(t):
-        raise OpenTypeError(f"type has free variables: {render(t)}")
+    _require_closed(t)
     adjacency: Dict[Node, Dict[Action, Node]] = {}
     queue = [t]
     while queue:
@@ -245,19 +243,32 @@ def _node_label(node: Node) -> str:
     return "Skip" if node is SKIP else render(node)
 
 
-def lts_to_dot(lts: TypeLts) -> str:
-    """DOT rendering with type-labelled nodes and action-labelled edges."""
-    nodes = sorted(lts.adjacency, key=_node_label)
+def _dot(name: str, root, graph: dict, label, shapes: Tuple[str, str],
+         bad=()) -> str:
+    """DOT digraph *name* of *graph*, a map from each node to its
+    (action, successor) edges in listing order.  Nodes are listed by
+    *label*; *root* has ``shapes[0]`` and the others ``shapes[1]``; the
+    nodes in *bad* are filled red."""
+    labels = {node: label(node) for node in graph}
+    nodes = sorted(graph, key=labels.__getitem__)
     index = {node: i for i, node in enumerate(nodes)}
-    lines = ["digraph lts {"]
+    lines = [f"digraph {name} {{"]
     for node in nodes:
-        shape = "doublecircle" if node is lts.root else "ellipse"
-        label = _node_label(node).replace('"', '\\"')
-        lines.append(f'  n{index[node]} [label="{label}", shape={shape}];')
+        text = labels[node].replace('"', '\\"')
+        shape = shapes[node != root]
+        style = ', style=filled, fillcolor="#ffbbbb"' if node in bad else ""
+        lines.append(f'  n{index[node]} [label="{text}", shape={shape}{style}];')
     for node in nodes:
-        for a in sorted(lts.adjacency[node]):
-            dst = lts.adjacency[node][a]
+        for a, dst in graph[node]:
             lines.append(
                 f'  n{index[node]} -> n{index[dst]} [label="{action_name(a)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def lts_to_dot(lts: TypeLts) -> str:
+    """DOT rendering with type-labelled nodes and action-labelled edges."""
+    graph = {node: sorted(succ.items())
+             for node, succ in lts.adjacency.items()}
+    return _dot("lts", lts.root, graph, _node_label,
+                ("doublecircle", "ellipse"))

@@ -17,7 +17,9 @@ __all__ = ["sub_bottom_up", "sub_top_down", "sub_pair", "canonical_order"]
 
 def sub_bottom_up(t: TypeExpr) -> FrozenSet[TypeExpr]:
     """Purely structural subterm set; the binder case substitutes the
-    binder into each subterm of its body."""
+    binder into each subterm of its body.  Each scope's accumulator is
+    closed under subterms, so a node already in it is skipped: a shared
+    subterm is walked once per binder scope."""
     acc = set()     # subterms of the innermost open binder's body so far
     opened = []     # (binder, the accumulator outside it), innermost last
     todo = [t]      # nodes to visit, or None once a binder's body is done
@@ -28,6 +30,8 @@ def sub_bottom_up(t: TypeExpr) -> FrozenSet[TypeExpr]:
             outside.add(r)
             outside.update([subst_top(s, r) for s in acc])
             acc = outside
+        elif u in acc:
+            continue
         elif type(u) is Rec:
             opened.append((u, acc))
             acc = set()

@@ -14,7 +14,10 @@ All four decide the same relation:
   reads the deadline once per stepped pair, not per visit.
 * ``product``    -- lazy reachability on the pair graph of the two type
   LTSs: the left type is a subtype iff no inconsistent pair is reachable
-  from the root pair (quadratic).
+  from the root pair (quadratic).  :func:`_pairs` is the one walk of the
+  pair graph; the search stops at its first inconsistent pair and the DOT
+  export runs it to the end.  It records which pairs it reached, not how:
+  there are no parent pointers yet.
 * ``allpairs``   -- the full pair grid with a backward sweep from the
   inconsistent pairs; yields verdicts for every pair of subterms at once.
   Only same-constructor pairs of unfolded heads are stepped, each once;
@@ -54,15 +57,13 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import lts
-from .errors import OpenTypeError, StcheckError
+from .errors import StcheckError
 from .lts import (
-    CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _table,
-    action_name,
+    CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
+    _node_label, _require_closed, _table,
 )
 from .subterms import sub_pair
-from .syntax import (
-    Branch, Output, Select, TypeExpr, is_closed, render, unfold,
-)
+from .syntax import Branch, Output, Select, TypeExpr, unfold
 
 __all__ = [
     "ProductNode", "SubtypeReport", "DeadlineExceeded", "ALGORITHMS",
@@ -102,12 +103,6 @@ class SubtypeReport:
     def __post_init__(self):
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
-
-
-def _require_closed(t: TypeExpr, u: TypeExpr) -> None:
-    for side in (t, u):
-        if side is not SKIP and not is_closed(side):
-            raise OpenTypeError(f"type has free variables: {render(side)}")
 
 
 def _step(left: Node, right: Node, order: int = RULE):
@@ -170,32 +165,44 @@ def product_successors(p: ProductNode) -> List[Tuple[Action, ProductNode]]:
     return [(a, ProductNode(*q)) for a, q in zip(acts, pairs)]
 
 
-def subtype_product(t: TypeExpr, u: TypeExpr,
-                    deadline: Optional[float] = None) -> SubtypeReport:
-    """Lazy breadth-first search of the reachable pair graph; refutes as
-    soon as an inconsistent pair is dequeued."""
-    _require_closed(t, u)
-    start = time.perf_counter()
+def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
+           deadline: Optional[float]):
+    """The breadth-first walk of the pair graph from ``(t, u)``, moves in
+    Action order.  Every pair reached is added to *seen*.  Yields each
+    inconsistent pair when it is dequeued, without expanding it, and
+    ``None`` at the end, each with the moves of the pairs expanded so
+    far."""
     root = (t, u)
-    seen = {root}
+    seen.add(root)
     queue = deque((root,))
     edges = 0
-    verdict = True
     while queue:
         if deadline is not None and time.perf_counter() > deadline:
             raise DeadlineExceeded
-        moves = _step(*queue.popleft(), CONT_FIRST)
+        pair = queue.popleft()
+        moves = _step(*pair, CONT_FIRST)
         if moves is None:
-            verdict = False
-            break
+            yield pair, edges
+            continue
         acts, pairs = moves
         edges += len(acts)
         for q in pairs:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
+    yield None, edges
+
+
+def subtype_product(t: TypeExpr, u: TypeExpr,
+                    deadline: Optional[float] = None) -> SubtypeReport:
+    """Lazy breadth-first search of the reachable pair graph; refutes as
+    soon as an inconsistent pair is dequeued."""
+    _require_closed(t, u)
+    start = time.perf_counter()
+    seen: Set[Tuple[Node, Node]] = set()
+    bad, edges = next(_pairs(t, u, seen, deadline))
     return SubtypeReport(
-        verdict=verdict,
+        verdict=bad is None,
         algorithm="product",
         counters={"product_nodes": len(seen), "product_edges": edges},
         elapsed=time.perf_counter() - start,
@@ -388,44 +395,16 @@ def equal_coinductive(t: TypeExpr, u: TypeExpr) -> bool:
     return subtype_product(t, u).verdict and subtype_product(u, t).verdict
 
 
-def _pair_label(p: ProductNode) -> str:
-    left = "Skip" if p.left is SKIP else render(p.left)
-    right = "Skip" if p.right is SKIP else render(p.right)
-    return f"({left}, {right})"
+def _pair_label(p: Tuple[Node, Node]) -> str:
+    return f"({_node_label(p[0])}, {_node_label(p[1])})"
 
 
 def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
     """DOT digraph of the reachable pair graph; inconsistent pairs are
     filled red and not expanded further."""
     _require_closed(t, u)
-    root = ProductNode(t, u)
-    adjacency: Dict[ProductNode, List[Tuple[Action, ProductNode]]] = {}
-    bad: Set[ProductNode] = set()
-    queue = deque((root,))
-    seen = {root}
-    while queue:
-        p = queue.popleft()
-        moves = _step(*p, CONT_FIRST)
-        if moves is None:
-            bad.add(p)
-        acts, pairs = moves or ((), ())
-        succs = adjacency[p] = [(a, ProductNode(*q))
-                                for a, q in zip(acts, pairs)]
-        for _, q in succs:
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    nodes = sorted(seen, key=_pair_label)
-    index = {p: i for i, p in enumerate(nodes)}
-    lines = ["digraph product {"]
-    for p in nodes:
-        label = _pair_label(p).replace('"', '\\"')
-        style = ', style=filled, fillcolor="#ffbbbb"' if p in bad else ""
-        shape = "doubleoctagon" if p == root else "box"
-        lines.append(f'  n{index[p]} [label="{label}", shape={shape}{style}];')
-    for p in nodes:
-        for a, q in adjacency[p]:
-            lines.append(
-                f'  n{index[p]} -> n{index[q]} [label="{action_name(a)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    seen: Set[Tuple[Node, Node]] = set()
+    bad = {pair for pair, _ in _pairs(t, u, seen, None)}
+    graph = {p: product_successors(p) for p in seen}
+    return _dot("product", (t, u), graph, _pair_label,
+                ("doubleoctagon", "box"), bad)

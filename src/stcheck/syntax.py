@@ -349,9 +349,13 @@ def _rewrite(t: TypeExpr, depth: int, cls: type, leaf) -> TypeExpr:
 def free_names(t: TypeExpr) -> frozenset:
     """Set of named free variables (binder indices are never free names)."""
     names = set()
+    seen = set()
     todo = [t]
     while todo:
         u = todo.pop()
+        if u in seen:
+            continue
+        seen.add(u)
         if type(u) is Var:
             names.add(u.name)
         elif u.has_fvar:

@@ -1,8 +1,9 @@
+import hashlib
 import re
 
 import pytest
 
-from stcheck.bench import GenConfig, gen_random
+from stcheck.bench import GenConfig, gen_random, random_pair
 from stcheck.errors import OpenTypeError
 from stcheck.lts import (
     SKIP, act_end, act_in_cont, act_out_cont, build_lts, in_payload,
@@ -114,11 +115,12 @@ def test_lts_owns_its_adjacency(t2):
 
 def test_determinism_property():
     # adjacency maps are action-keyed, so determinism holds by construction;
-    # check successor lookup agrees with the map
+    # check every node's map agrees with transitions and stays in the LTS
     t = parse("rec X . +{ a: ?[end].X, b: end }")
     lts = build_lts(t)
-    for node, action, dst in lts.edges():
-        assert lts.successor(node, action) is dst
+    for node, succ in lts.adjacency.items():
+        assert succ == transitions(node)
+        assert set(succ.values()) <= lts.nodes
 
 
 def test_dot_export(t1):
@@ -126,3 +128,16 @@ def test_dot_export(t1):
     assert dot.startswith("digraph lts {")
     assert dot.count("->") == 5
     assert 'label="+respond"' in dot and 'label="?p1"' in dot
+
+
+# SHA-256 of the concatenated DOT of both sides of random_pair(i, 40) for
+# i < 300, left side first: the export's exact bytes, node order, shapes
+# and edge labels included.
+LTS_DOT_SHA256 = (
+    "7b7e09f3fdbc3ab7bfe3799417e7df7ed0142fc8fe43a531d84ac7c28acc12ea")
+
+
+def test_lts_dot_is_pinned():
+    sides = [side for i in range(300) for side in random_pair(i, 40)]
+    dot = "".join(lts_to_dot(build_lts(side)) for side in sides)
+    assert hashlib.sha256(dot.encode()).hexdigest() == LTS_DOT_SHA256

@@ -1,7 +1,8 @@
 """No code path may recurse on the depth of its input: every input must end
 in a verdict or a StcheckError, never in a RecursionError.  These checks
 read the source with ``ast``; they catch a function that calls itself by
-name and any change of the interpreter's recursion limit."""
+name and any change of the interpreter's recursion limit.  One more source
+check keeps the pair graph to one breadth-first walk."""
 
 import ast
 import pathlib
@@ -52,3 +53,13 @@ def test_no_function_calls_itself():
                     and node.name in set(calls(node)):
                 self_calls.add((path.stem, node.name))
     assert self_calls == BOUNDED_SELF_CALLS
+
+
+def test_one_breadth_first_walk():
+    # subtyping._pairs is the only queue: the product search and the
+    # pair-graph export both run it, so a second walk cannot creep back
+    queues = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        queues += [path.stem for name in calls(tree) if name == "deque"]
+    assert queues == ["subtyping"]

@@ -1,6 +1,8 @@
 from stcheck.bench import GenConfig, gen_random
 from stcheck.subterms import canonical_order, sub_bottom_up, sub_pair, sub_top_down
-from stcheck.syntax import end, inp, parse, render, select, size, unfold, var
+from stcheck.syntax import (
+    end, free_names, inp, parse, render, select, size, unfold, var,
+)
 
 
 def test_sub_bottom_up_atomic():
@@ -74,3 +76,14 @@ def test_canonical_order_is_render_sorted(t2):
     listing = canonical_order(sub_top_down(t2))
     assert listing == sorted(listing, key=render)
     assert [render(x) for x in listing] == sorted(render(x) for x in listing)
+
+
+def test_shared_dag_is_walked_once_per_node():
+    # 41 distinct nodes whose tree has about 3**40 nodes: a walk of the
+    # tree would not finish
+    b = var("X")
+    for _ in range(40):
+        b = inp([b, b], b)
+    assert free_names(b) == frozenset({"X"})
+    subterms = sub_bottom_up(b)
+    assert len(subterms) == 41 and var("X") in subterms

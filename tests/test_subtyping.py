@@ -19,7 +19,7 @@ from stcheck.subtyping import (
     product_successors, subtype_all_pairs, subtype_inductive,
     subtype_memoized, subtype_product,
 )
-from stcheck.subterms import sub_pair
+from stcheck.subterms import sub_pair, sub_top_down
 from stcheck.syntax import end, inp, out, parse, select, size, unfold, var
 
 
@@ -464,6 +464,16 @@ def test_counter_monotonicity_random():
         ind = subtype_inductive(left, right)
         assert (memo.counters["memo_entries"]
                 <= ind.counters["judgements_visited"])
+
+
+def test_memoized_assumes_at_most_one_pair_per_subterm_pair():
+    # memoized is quadratic: its assumptions never outnumber the pairs of
+    # a left and a right top-down subterm
+    pairs = [random_pair(i, 40) for i in range(2000)]
+    pairs += [gen_blowup_family(k) for k in range(1, 31)]
+    for left, right in pairs:
+        entries = subtype_memoized(left, right).counters["memo_entries"]
+        assert entries <= len(sub_top_down(left)) * len(sub_top_down(right))
 
 
 def test_product_node_bound_random():
