@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import subtyping
-from .subtyping import ALGORITHMS, COUNTER_KEYS, DeadlineExceeded
+from .subtyping import COUNTER_KEYS, DeadlineExceeded
 from .syntax import TypeExpr, bvar, end, inp, out, rec, select, branch, size
 
 __all__ = [
@@ -35,9 +35,8 @@ __all__ = [
 DEFAULT_TIMEOUT = 10.0  # seconds per run
 DEFAULT_KMAX_INDUCTIVE = 12
 
-_CONSTRUCTORS = ("end", "var", "rec", "input", "output", "select", "branch")
-
-_DEFAULT_WEIGHTS: Mapping[str, float] = {
+# Relative draw weights of the constructors.
+_WEIGHTS: Mapping[str, float] = {
     "end": 1.0, "var": 1.5, "rec": 2.0,
     "input": 3.0, "output": 3.0, "select": 2.0, "branch": 2.0,
 }
@@ -49,19 +48,13 @@ _LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
 class GenConfig:
     seed: int
     max_size: int = 40
-    weights: Mapping[str, float] = field(default_factory=lambda: _DEFAULT_WEIGHTS)
     max_labels: int = 3
-    max_payloads: int = 2
 
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be >= 1")
-        if not any(self.weights.get(c, 0.0) > 0 for c in _CONSTRUCTORS):
-            raise ValueError("at least one constructor weight must be positive")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("weights must be nonnegative")
-        if self.max_labels < 1 or self.max_payloads < 1:
-            raise ValueError("max_labels and max_payloads must be >= 1")
+        if self.max_labels < 1:
+            raise ValueError("max_labels must be >= 1")
 
 
 def gen_random(config: GenConfig) -> TypeExpr:
@@ -81,26 +74,15 @@ def _gen(rng: Random, config: GenConfig, budget: int,
     # guarded[i] is True when binder at de Bruijn index i may be referenced
     usable = [i for i, g in enumerate(guarded) if g]
     choices = ["end"]
-    weights = [config.weights.get("end", 0.0)]
-    if usable and config.weights.get("var", 0.0) > 0:
+    if usable:
         choices.append("var")
-        weights.append(config.weights["var"])
-    if budget >= 2 and config.weights.get("rec", 0.0) > 0:
-        choices.append("rec")
-        weights.append(config.weights["rec"])
-    if budget >= 3:
-        for c in ("input", "output"):
-            if config.weights.get(c, 0.0) > 0:
-                choices.append(c)
-                weights.append(config.weights[c])
     if budget >= 2:
-        for c in ("select", "branch"):
-            if config.weights.get(c, 0.0) > 0:
-                choices.append(c)
-                weights.append(config.weights[c])
-    if sum(weights) <= 0:
-        weights = [1.0] + [0.0] * (len(weights) - 1)
-    kind = rng.choices(choices, weights)[0]
+        choices.append("rec")
+    if budget >= 3:
+        choices += ("input", "output")
+    if budget >= 2:
+        choices += ("select", "branch")
+    kind = rng.choices(choices, [_WEIGHTS[c] for c in choices])[0]
 
     if kind == "end":
         return end()
@@ -110,7 +92,7 @@ def _gen(rng: Random, config: GenConfig, budget: int,
         shifted = (False,) + guarded  # new binder starts unguarded
         return rec(_gen(rng, config, budget - 1, shifted))
     if kind in ("input", "output"):
-        n = rng.randint(1, min(config.max_payloads, budget - 2))
+        n = rng.randint(1, min(2, budget - 2))  # at most two payloads
         parts = _partition(rng, budget - 1, n + 1)
         now_guarded = tuple(True for _ in guarded)
         payloads = [_gen(rng, config, b, now_guarded) for b in parts[:-1]]
@@ -195,9 +177,6 @@ def run_bench(families: Sequence[str],
     for name in families:
         if name not in FAMILIES:
             raise ValueError(f"unknown family: {name!r}")
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {algo!r}")
     records = []
     for family in families:
         gen = FAMILIES[family]
@@ -230,11 +209,7 @@ def write_csv(records: Iterable[BenchRecord], stream) -> None:
     for r in records:
         writer.writerow([
             r.family, r.k, r.size_left, r.size_right, r.algorithm,
-            int(r.verdict),
-            r.counters.get("judgements_visited", 0),
-            r.counters.get("memo_entries", 0),
-            r.counters.get("product_nodes", 0),
-            r.counters.get("product_edges", 0),
+            int(r.verdict), *(r.counters[key] for key in CSV_COLUMNS[6:10]),
             r.elapsed_ns, int(r.timed_out),
         ])
 

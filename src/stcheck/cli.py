@@ -9,6 +9,7 @@ diagnostics and ``--stats`` counters go to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from typing import Optional
@@ -126,14 +127,9 @@ def cmd_bench(args) -> int:
         records.extend(bench.run_bench(
             [args.family], range(1, top + 1), [algo], timeout=timeout))
     records.sort(key=lambda r: (r.family, r.k, r.algorithm))
-    if args.csv is None or args.csv == "-":
-        bench.write_csv(records, sys.stdout)
-    else:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                bench.write_csv(records, fh)
-        except OSError as exc:
-            raise StcheckError(f"{args.csv}: {exc.strerror or exc}") from exc
+    text = io.StringIO()
+    bench.write_csv(records, text)
+    _emit(text.getvalue(), args.csv)
     return EXIT_OK
 
 

@@ -94,21 +94,12 @@ def sel_label(label: str) -> Action:
     return Action(A_SEL, label)
 
 
+# Each action kind's name, in the order of the kinds A_END to A_SEL.
+_ACTION_FORMATS = ("end", "?c", "!c", "?p{}", "!p{}", "&{}", "+{}")
+
+
 def action_name(a: Action) -> str:
-    kind, arg = a
-    if kind == A_END:
-        return "end"
-    if kind == A_IN_CONT:
-        return "?c"
-    if kind == A_OUT_CONT:
-        return "!c"
-    if kind == A_IN_PAYLOAD:
-        return f"?p{arg}"
-    if kind == A_OUT_PAYLOAD:
-        return f"!p{arg}"
-    if kind == A_BRA:
-        return f"&{arg}"
-    return f"+{arg}"
+    return _ACTION_FORMATS[a.kind].format(a.arg)
 
 
 # A compiled head: (kind, arity or label tuple, actions and successors in

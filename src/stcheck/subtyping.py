@@ -1,6 +1,11 @@
 """Four decision procedures for session subtyping.
 
-All four decide the same relation:
+:func:`check` is the one entry: it looks the algorithm up in
+``_SEARCHES``, checks that both types are closed, times the search and
+builds the :class:`SubtypeReport`.  ``subtype_product``,
+``subtype_inductive`` and ``subtype_memoized`` are shorthands for it.
+The searches differ only in how they decide; all four decide the same
+relation:
 
 * ``inductive``  -- depth-first judgement search with a per-path
   assumption context; sibling premises do not share contexts, so it
@@ -68,7 +73,7 @@ from .syntax import Branch, Output, Select, TypeExpr, unfold
 __all__ = [
     "ProductNode", "SubtypeReport", "DeadlineExceeded", "ALGORITHMS",
     "is_inconsistent", "product_successors",
-    "subtype_product", "subtype_all_pairs", "subtype_allpairs_report",
+    "subtype_product", "subtype_all_pairs",
     "subtype_inductive", "subtype_memoized",
     "check", "is_subtype", "equal_coinductive", "export_product_dot",
 ]
@@ -80,9 +85,6 @@ _tables = lts._tables
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
                 "product_edges", "max_context_depth")
-
-ALGORITHMS = ("inductive", "memoized", "product", "allpairs")
-
 
 class DeadlineExceeded(StcheckError):
     """Raised internally when a cooperative deadline passes."""
@@ -193,20 +195,12 @@ def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
     yield None, edges
 
 
-def subtype_product(t: TypeExpr, u: TypeExpr,
-                    deadline: Optional[float] = None) -> SubtypeReport:
+def _product(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     """Lazy breadth-first search of the reachable pair graph; refutes as
     soon as an inconsistent pair is dequeued."""
-    _require_closed(t, u)
-    start = time.perf_counter()
     seen: Set[Tuple[Node, Node]] = set()
     bad, edges = next(_pairs(t, u, seen, deadline))
-    return SubtypeReport(
-        verdict=bad is None,
-        algorithm="product",
-        counters={"product_nodes": len(seen), "product_edges": edges},
-        elapsed=time.perf_counter() - start,
-    )
+    return bad is None, {"product_nodes": len(seen), "product_edges": edges}
 
 
 def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
@@ -267,18 +261,11 @@ def subtype_all_pairs(t: TypeExpr, u: TypeExpr) -> FrozenSet[ProductNode]:
         for lv in universe for rv in universe if holds(lv, rv))
 
 
-def subtype_allpairs_report(t: TypeExpr, u: TypeExpr,
-                            deadline: Optional[float] = None) -> SubtypeReport:
+def _allpairs(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     """Verdict for the root pair via the all-pairs backward sweep."""
-    _require_closed(t, u)
-    start = time.perf_counter()
     universe, holds, edges = _sweep(t, u, deadline)
-    return SubtypeReport(
-        verdict=holds(t, u),
-        algorithm="allpairs",
-        counters={"product_nodes": len(universe) ** 2, "product_edges": edges},
-        elapsed=time.perf_counter() - start,
-    )
+    return holds(t, u), {"product_nodes": len(universe) ** 2,
+                         "product_edges": edges}
 
 
 def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
@@ -335,56 +322,65 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
             it = stack.pop()
 
 
-def subtype_inductive(t: TypeExpr, u: TypeExpr,
-                      deadline: Optional[float] = None) -> SubtypeReport:
+def _inductive(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     """Judgement search with path-local assumption contexts.
 
     A pair already assumed on the current path succeeds immediately; each
     premise restarts from the same extended context, so work done in one
     sibling is never reused in the next.
     """
-    _require_closed(t, u)
-    start = time.perf_counter()
     verdict, visited, _, depth = _dfs(t, u, True, deadline)
-    return SubtypeReport(
-        verdict=verdict,
-        algorithm="inductive",
-        counters={"judgements_visited": visited, "max_context_depth": depth},
-        elapsed=time.perf_counter() - start,
-    )
+    return verdict, {"judgements_visited": visited, "max_context_depth": depth}
 
 
-def subtype_memoized(t: TypeExpr, u: TypeExpr,
-                     deadline: Optional[float] = None) -> SubtypeReport:
+def _memoized(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     """The same search with a single assumption set threaded through all
     premises; any failing premise aborts the whole run (no negative
     caching, assumptions are never retracted)."""
-    _require_closed(t, u)
-    start = time.perf_counter()
     verdict, visited, entries, _ = _dfs(t, u, False, deadline)
-    return SubtypeReport(
-        verdict=verdict,
-        algorithm="memoized",
-        counters={"memo_entries": entries, "judgements_visited": visited},
-        elapsed=time.perf_counter() - start,
-    )
+    return verdict, {"memo_entries": entries, "judgements_visited": visited}
 
 
-_DISPATCH = {
-    "inductive": subtype_inductive,
-    "memoized": subtype_memoized,
-    "product": subtype_product,
-    "allpairs": subtype_allpairs_report,
+# Each search maps (t, u, deadline) to (verdict, counters).
+_SEARCHES = {
+    "inductive": _inductive,
+    "memoized": _memoized,
+    "product": _product,
+    "allpairs": _allpairs,
 }
+
+ALGORITHMS = tuple(_SEARCHES)
 
 
 def check(t: TypeExpr, u: TypeExpr, algorithm: str = "product",
           deadline: Optional[float] = None) -> SubtypeReport:
+    """Decide whether *t* is a subtype of *u* with *algorithm*: the name is
+    checked first (``ValueError``), then that both types are closed; the
+    elapsed time covers the search alone."""
     try:
-        impl = _DISPATCH[algorithm]
+        search = _SEARCHES[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm: {algorithm!r}") from None
-    return impl(t, u, deadline=deadline)
+    _require_closed(t, u)
+    start = time.perf_counter()
+    verdict, counters = search(t, u, deadline)
+    return SubtypeReport(verdict, algorithm, counters,
+                         time.perf_counter() - start)
+
+
+def subtype_product(t: TypeExpr, u: TypeExpr,
+                    deadline: Optional[float] = None) -> SubtypeReport:
+    return check(t, u, "product", deadline)
+
+
+def subtype_inductive(t: TypeExpr, u: TypeExpr,
+                      deadline: Optional[float] = None) -> SubtypeReport:
+    return check(t, u, "inductive", deadline)
+
+
+def subtype_memoized(t: TypeExpr, u: TypeExpr,
+                     deadline: Optional[float] = None) -> SubtypeReport:
+    return check(t, u, "memoized", deadline)
 
 
 def is_subtype(t: TypeExpr, u: TypeExpr) -> bool:

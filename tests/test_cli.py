@@ -88,15 +88,18 @@ def test_graph_to_file(files, tmp_path):
     assert out.read_text().startswith("digraph")
 
 
-@pytest.mark.parametrize("command", ["lts", "graph"])
+@pytest.mark.parametrize("command", ["lts", "graph", "bench"])
 def test_dot_to_unwritable_path_is_an_io_error(files, tmp_path, capsys,
                                                command):
-    inputs = [files["t1"]] if command == "lts" else [files["t2"], files["t3"]]
+    args = {"lts": [files["t1"], "-o"],
+            "graph": [files["t2"], files["t3"], "-o"],
+            "bench": ["--kmax", "1", "--algos", "product", "--csv"]}[command]
     # a missing directory, and a directory in place of the file
-    for out in (tmp_path / "missing" / "x.dot", tmp_path):
-        assert main([command, "-o", str(out), *inputs]) == EXIT_ERROR
+    for out in (tmp_path / "missing" / "x.out", tmp_path):
+        assert main([command, *args, str(out)]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.err.startswith(f"stcheck: error: {out}: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
 

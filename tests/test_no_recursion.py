@@ -1,8 +1,9 @@
 """No code path may recurse on the depth of its input: every input must end
 in a verdict or a StcheckError, never in a RecursionError.  These checks
 read the source with ``ast``; they catch a function that calls itself by
-name and any change of the interpreter's recursion limit.  One more source
-check keeps the pair graph to one breadth-first walk."""
+name and any change of the interpreter's recursion limit.  Two more source
+checks keep the pair graph to one breadth-first walk and the reports to
+one check path."""
 
 import ast
 import pathlib
@@ -55,11 +56,23 @@ def test_no_function_calls_itself():
     assert self_calls == BOUNDED_SELF_CALLS
 
 
+def modules_calling(name):
+    """The module of each call of *name* in the sources, one per call."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        found += [path.stem for called in calls(tree) if called == name]
+    return found
+
+
 def test_one_breadth_first_walk():
     # subtyping._pairs is the only queue: the product search and the
     # pair-graph export both run it, so a second walk cannot creep back
-    queues = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), str(path))
-        queues += [path.stem for name in calls(tree) if name == "deque"]
-    assert queues == ["subtyping"]
+    assert modules_calling("deque") == ["subtyping"]
+
+
+def test_one_report_builder():
+    # subtyping.check builds every SubtypeReport: the searches return a
+    # verdict and counters, so the closedness check, the clock and the
+    # report cannot drift apart between algorithms
+    assert modules_calling("SubtypeReport") == ["subtyping"]

@@ -394,6 +394,14 @@ def test_open_types_rejected(t1):
         is_inconsistent(ProductNode(var("X"), var("X")))
 
 
+def test_unknown_algorithm_rejected_before_closedness(t1):
+    with pytest.raises(ValueError, match="unknown algorithm: 'bogus'"):
+        check(t1, t1, "bogus")
+    # the name is checked first: an open type does not raise OpenTypeError
+    with pytest.raises(ValueError, match="unknown algorithm: 'bogus'"):
+        check(var("X"), t1, "bogus")
+
+
 def test_export_product_dot(t1, t2, t3):
     dot = export_product_dot(t2, t3)
     assert dot.count("[label=\"(") == 7
