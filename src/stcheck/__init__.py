@@ -14,7 +14,7 @@ from .subterms import sub_bottom_up, sub_top_down, sub_pair
 from .lts import SKIP, Action, TypeLts, build_lts, out_degree, transitions
 from .subtyping import (
     ALGORITHMS, ProductNode, SubtypeReport, check, equal_coinductive,
-    export_product_dot, is_inconsistent, is_subtype, product_successors,
+    export_product_dot, is_inconsistent, product_successors,
     subtype_all_pairs, subtype_inductive, subtype_memoized, subtype_product,
 )
 from .bench import GenConfig, BenchRecord, gen_random, gen_blowup_family, run_bench

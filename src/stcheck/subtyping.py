@@ -75,7 +75,7 @@ __all__ = [
     "is_inconsistent", "product_successors",
     "subtype_product", "subtype_all_pairs",
     "subtype_inductive", "subtype_memoized",
-    "check", "is_subtype", "equal_coinductive", "export_product_dot",
+    "check", "equal_coinductive", "export_product_dot",
 ]
 
 # Bound by assignment, not imported: CPython 3.11 compiles a call on an
@@ -381,10 +381,6 @@ def subtype_inductive(t: TypeExpr, u: TypeExpr,
 def subtype_memoized(t: TypeExpr, u: TypeExpr,
                      deadline: Optional[float] = None) -> SubtypeReport:
     return check(t, u, "memoized", deadline)
-
-
-def is_subtype(t: TypeExpr, u: TypeExpr) -> bool:
-    return subtype_product(t, u).verdict
 
 
 def equal_coinductive(t: TypeExpr, u: TypeExpr) -> bool:

@@ -6,21 +6,24 @@ node is hash-consed through a module-level interning table, so two
 alpha-equivalent types built in any order are the *same* Python object and
 equality/hashing are identity-based and O(1).
 
-Library callers construct through the factory functions (``end``,
-``var``, ``bvar``, ``rec``, ``mu``, ``inp``, ``out``, ``select``,
-``branch``), which validate their arguments on an interning miss; calling
-the class constructors directly bypasses interning and breaks the
-identity-equality invariant.  ``parse`` builds each node's interning key
-itself, the key the factory would build, and looks it up directly; on a
-miss it builds a compound node with ``_build``, the factories' own build
-step, without repeating the checks its grammar has already made.
+Every node, of every kind, is made by one build step, ``_build(key)``: it
+sets the node's fields from its interning key, works out ``size``,
+``cutoff``, ``has_fvar``, ``contractive`` and ``_chain`` from the
+children, and interns the node.  Library callers construct through the
+factory functions (``end``, ``var``, ``bvar``, ``rec``, ``mu``, ``inp``,
+``out``, ``select``, ``branch``), which look the key up and validate their
+arguments only on a miss, before the build; calling the class
+constructors directly bypasses interning and breaks the identity-equality
+invariant.  ``parse`` and ``_rebuild`` form each key themselves, from a
+grammar or a node that has already made the factories' checks, and only
+look it up, building on a miss.
 
 The structural operations walk a type with an explicit stack over one
 child listing, ``_children`` (payloads, then the continuation; branches in
 label order; a binder's body, one binder deeper), so nesting depth is
 bounded by memory, not by the recursion limit.  ``mu``, ``shift``,
 ``subst_top`` and ``substitute`` say only what a variable leaf becomes;
-``_rewrite`` rebuilds the rest bottom-up through the factories and keeps
+``_rewrite`` rebuilds the rest bottom-up through ``_rebuild`` and keeps
 every subtree the operation cannot change: one whose dangling indices all
 lie below the current binder depth for the index operations, one without
 named variables for the name operations.  ``free_names``, ``render`` and
@@ -102,32 +105,27 @@ class BoundVar(TypeExpr):
 
 class Rec(TypeExpr):
     __slots__ = ("body",)
-    __match_args__ = ("body",)
 
 
 class Input(TypeExpr):
     __slots__ = ("payloads", "cont")
-    __match_args__ = ("payloads", "cont")
 
 
 class Output(TypeExpr):
     __slots__ = ("payloads", "cont")
-    __match_args__ = ("payloads", "cont")
 
 
 class Select(TypeExpr):
     __slots__ = ("branches",)
-    __match_args__ = ("branches",)
 
 
 class Branch(TypeExpr):
     __slots__ = ("branches",)
-    __match_args__ = ("branches",)
 
 
-# Every factory, and parse, looks its key up first and builds and validates
-# a node only on a miss: a hit is a node that passed the same checks under
-# the same key.
+# Every factory, parse and _rebuild looks its key up first and builds a node
+# only on a miss: a hit is a node that passed the same checks under the same
+# key.
 # A miss still inserts with dict.setdefault, which is atomic under the GIL
 # and gives lock-free concurrent interning: the first inserted node wins.
 _interned: dict = {}
@@ -135,16 +133,7 @@ _END_KEY = (End,)
 
 
 def end() -> End:
-    node = _interned.get(_END_KEY)
-    if node is not None:
-        return node
-    node = End()
-    node.size = 1
-    node.cutoff = 0
-    node.has_fvar = False
-    node.contractive = True
-    node._chain = None
-    return _interned.setdefault(_END_KEY, node)
+    return _interned.get(_END_KEY) or _build(_END_KEY)
 
 
 def var(name: str) -> Var:
@@ -154,14 +143,7 @@ def var(name: str) -> Var:
         return node
     if not _VAR_RE.match(name or ""):
         raise ValueError(f"invalid variable name: {name!r}")
-    node = Var()
-    node.name = name
-    node.size = 1
-    node.cutoff = 0
-    node.has_fvar = True
-    node.contractive = True
-    node._chain = None
-    return _interned.setdefault(key, node)
+    return _build(key)
 
 
 def bvar(index: int) -> BoundVar:
@@ -169,41 +151,16 @@ def bvar(index: int) -> BoundVar:
     node = _interned.get(key)
     if node is not None:
         return node
-    if index < 0:
-        raise ValueError("de Bruijn index must be >= 0")
-    node = BoundVar()
-    node.index = index
-    node.size = 1
-    node.cutoff = index + 1
-    node.has_fvar = False
-    node.contractive = True
-    # _chain = (number of Recs wrapped so far, index at the chain's end)
-    node._chain = (0, index)
-    return _interned.setdefault(key, node)
+    # 1.0 and True are equal to 1 as keys: only an int may be interned
+    if type(index) is not int or index < 0:
+        raise ValueError(f"de Bruijn index must be an int >= 0: {index!r}")
+    return _build(key)
 
 
 def rec(body: TypeExpr) -> Rec:
     """Nameless recursion binder; ``bvar(0)`` in *body* refers to it."""
     key = (Rec, body)
-    node = _interned.get(key)
-    if node is not None:
-        return node
-    node = Rec()
-    node.body = body
-    node.size = body.size + 1
-    node.cutoff = max(0, body.cutoff - 1)
-    node.has_fvar = body.has_fvar
-    chain = body._chain
-    if chain is None:
-        node.contractive = body.contractive
-        node._chain = None
-    else:
-        wrapped, index = chain
-        # Rec^{wrapped+1}(BoundVar(index)) cycles iff the index points at
-        # one of the binders of this very chain.
-        node.contractive = body.contractive and index > wrapped
-        node._chain = (wrapped + 1, index)
-    return _interned.setdefault(key, node)
+    return _interned.get(key) or _build(key)
 
 
 def mu(name: str, body: TypeExpr) -> Rec:
@@ -252,25 +209,45 @@ def _branch_node(cls, branches):
 
 
 def _build(key: tuple):
-    """Build and intern the compound node of *key*, ``(cls, payloads,
-    cont)`` or ``(cls, items in label order)``, whose checks have passed."""
-    node = key[0]()
+    """Build, measure and intern the node of *key*: ``(End,)``, ``(Var,
+    name)``, ``(BoundVar, index)``, ``(Rec, body)``, ``(cls, payloads,
+    cont)`` or ``(cls, items in label order)``, whose factory checks hold."""
+    cls = key[0]
+    node = cls()
+    size, cutoff, has_fvar, contractive, chain = 1, 0, False, True, None
     if len(key) == 3:
         _, node.payloads, node.cont = key
-    else:
+    elif cls is Select or cls is Branch:
         _, node.branches = key
-    size, cutoff, has_fvar, contractive = 1, 0, False, True
+    elif cls is Rec:
+        node.body = key[1]
+    elif cls is BoundVar:
+        node.index = index = key[1]
+        cutoff = index + 1
+        # (number of Recs wrapped so far, index at the chain's end)
+        chain = (0, index)
+    elif cls is Var:
+        node.name = key[1]
+        has_fvar = True
     for kid in _children(node):
         size += kid.size
         if kid.cutoff > cutoff:
             cutoff = kid.cutoff
         has_fvar = has_fvar or kid.has_fvar
         contractive = contractive and kid.contractive
+    if cls is Rec:
+        cutoff = max(0, cutoff - 1)
+        if node.body._chain is not None:
+            wrapped, index = node.body._chain
+            # Rec^{wrapped+1}(BoundVar(index)) cycles iff the index points
+            # at one of the binders of this very chain.
+            contractive = contractive and index > wrapped
+            chain = (wrapped + 1, index)
     node.size = size
     node.cutoff = cutoff
     node.has_fvar = has_fvar
     node.contractive = contractive
-    node._chain = None
+    node._chain = chain
     return _interned.setdefault(key, node)
 
 
@@ -308,13 +285,16 @@ def _children(t: TypeExpr) -> tuple:
 
 
 def _rebuild(t: TypeExpr, kids: list) -> TypeExpr:
-    """*t* with its children, listed as by :func:`_children`, replaced."""
+    """*t* with its children, listed as by :func:`_children`, replaced;
+    *t*'s labels are already sorted and valid, so nothing is checked."""
     cls = type(t)
     if cls is Input or cls is Output:
-        return _payload_node(cls, kids[:-1], kids[-1])
-    if cls is Select or cls is Branch:
-        return _branch_node(cls, [(l, k) for (l, _), k in zip(t.branches, kids)])
-    return rec(kids[0])
+        key = (cls, tuple(kids[:-1]), kids[-1])
+    elif cls is Select or cls is Branch:
+        key = (cls, tuple([(l, k) for (l, _), k in zip(t.branches, kids)]))
+    else:
+        key = (Rec, kids[0])
+    return _interned.get(key) or _build(key)
 
 
 def _rewrite(t: TypeExpr, depth: int, cls: type, leaf) -> TypeExpr:

@@ -1,9 +1,9 @@
 """No code path may recurse on the depth of its input: every input must end
 in a verdict or a StcheckError, never in a RecursionError.  These checks
 read the source with ``ast``; they catch a function that calls itself by
-name and any change of the interpreter's recursion limit.  Two more source
-checks keep the pair graph to one breadth-first walk and the reports to
-one check path."""
+name and any change of the interpreter's recursion limit.  Three more
+source checks keep the pair graph to one breadth-first walk, the reports to
+one check path and the node attributes to one build step."""
 
 import ast
 import pathlib
@@ -76,3 +76,22 @@ def test_one_report_builder():
     # verdict and counters, so the closedness check, the clock and the
     # report cannot drift apart between algorithms
     assert modules_calling("SubtypeReport") == ["subtyping"]
+
+
+NODE_ATTRIBUTES = {"size", "cutoff", "has_fvar", "contractive", "_chain"}
+
+
+def test_one_node_builder():
+    # syntax._build measures every node kind: the factories, parse and the
+    # rewrite path only form a key, so no kind can get its own formula
+    setters = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(target, ast.Attribute)
+                            and isinstance(target.ctx, ast.Store)
+                            and target.attr in NODE_ATTRIBUTES
+                            for target in ast.walk(node)):
+                setters.add((path.stem, node.name))
+    assert setters == {("syntax", "_build")}

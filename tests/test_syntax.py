@@ -1,17 +1,21 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import stcheck
 from stcheck.errors import (
     DuplicateLabelError, EmptyArityError, NotContractiveError, ParseError,
     StcheckError,
 )
 from stcheck.bench import GenConfig, gen_random, random_pair
-from stcheck.subterms import sub_bottom_up
+from stcheck.subterms import sub_bottom_up, sub_top_down
 from stcheck.subtyping import check
 from stcheck.syntax import (
     Branch, BoundVar, End, Input, Output, Rec, Select, Var, _children,
@@ -108,6 +112,27 @@ def test_factories_validate_on_an_intern_miss():
         branch([("a", end()), ("a", end())])
     with pytest.raises(DuplicateLabelError):
         branch([("a", end()), ("a", var("X"))])
+
+
+def test_bvar_interns_only_an_int_index():
+    # 1.0 and True are equal to 1 as keys: interned, either would be every
+    # later bvar(1).  A fresh process has no index 1 interned yet.
+    code = """if True:
+        from stcheck.syntax import bvar, parse, render
+        for index in (1.0, True):
+            try:
+                bvar(index)
+            except ValueError:
+                continue
+            raise SystemExit(f"bvar({index!r}) was interned")
+        print(render(parse("rec X . rec Y . ?[X].Y")))
+    """
+    src = os.path.dirname(os.path.dirname(stcheck.__file__))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "rec X . rec Y . ?[X].Y\n"), \
+        done.stderr
 
 
 def test_parse_errors_match_golden_table():
@@ -409,6 +434,27 @@ def test_parse_misses_build_the_factory_node_and_attributes():
                  f"+{{ a{suffix}: rec X . X, b{suffix}: end }}"):
         with pytest.raises(NotContractiveError):
             parse(text)
+
+
+def test_rewrite_misses_build_the_factory_node_and_attributes():
+    # Labels unique to this test make every node that unfold and
+    # sub_top_down rebuild above a choice a miss, which the rewrite path
+    # builds before relabelled asks the factories for the same key.
+    suffix = "_rewrite_miss_k3"
+    rng = random.Random(2)
+    rebuilt = 0
+    for t in random_types():
+        u = parse(shuffled_text(t, rng, suffix))
+        before = stcheck.cache_sizes()["interned"]
+        unfolded = unfold(u)
+        subterms = sub_top_down(u)
+        rebuilt += stcheck.cache_sizes()["interned"] - before
+        for v in subterms:
+            assert (v.size, v.cutoff, v.has_fvar, v.contractive,
+                    v._chain) == recomputed(v), render(v)
+        assert unfolded is relabelled(unfold(t), suffix)
+        assert subterms == {relabelled(v, suffix) for v in sub_top_down(t)}
+    assert rebuilt > 2000
 
 
 @pytest.mark.parametrize("text, line, col, message", [
