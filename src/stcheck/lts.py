@@ -12,7 +12,9 @@ have identical outgoing edges.  The action tuples are shared by all heads
 of one kind with one arity or one label tuple, so one identity test
 matches two heads.  :func:`transitions` reads a table in Action order and
 the subtyping searches zip two tables; there is no other encoding of a
-head's moves.
+head's moves.  A step compiles a missing table only when the two heads
+have one constructor, which :func:`_head_kind` reads off the binder
+chains without unfolding.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
-    Branch, End, Input, Output, Rec, Select, TypeExpr, is_closed, render,
-    unfold,
+    Branch, BoundVar, End, Input, Output, Rec, Select, TypeExpr, Var,
+    is_closed, render, unfold,
 )
 
 __all__ = [
@@ -148,6 +150,23 @@ def _table(node: Node) -> Table:
         raise OpenTypeError(f"type has free variables: {render(node)}")
     _tables[node] = table
     return table
+
+
+def _head_kind(node: Node) -> Optional[type]:
+    """The constructor of *node*'s unfolded head, read off its binder chain
+    without unfolding or compiling: on a contractive type, unfolding only
+    substitutes at variable leaves, so the first node under the binders
+    has the head's constructor.  ``None`` when only :func:`_table` can
+    tell, and so raise: *node* is a binder that is not contractive, or its
+    chain ends in a variable."""
+    kind = type(node)
+    if kind is Rec:
+        if not node.contractive:
+            return None
+        while kind is Rec:
+            node = node.body
+            kind = type(node)
+    return None if kind is Var or kind is BoundVar else kind
 
 
 def _share_actions(kind: type, key):

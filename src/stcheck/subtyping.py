@@ -38,7 +38,10 @@ the pair (contravariance); ``end``/``end`` steps to the terminal pair
 
 A step reads the two heads' tables, which :mod:`stcheck.lts` compiles
 once per unfolded head, so it costs two lookups, not two unfoldings, and
-it zips the two tables' successors.
+it zips the two tables' successors.  A table is compiled on the first
+step that is not refuted by its constructors: while either table is
+missing, two heads of different constructors, read off their binder
+chains, are refuted before either side is unfolded or compiled.
 
 The searches visit the moves in two orders, and both are kept because the
 counters they produce are pinned by the tests and the benchmark.  Each
@@ -65,7 +68,7 @@ from . import lts
 from .errors import StcheckError
 from .lts import (
     CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
-    _node_label, _require_closed, _table,
+    _head_kind, _node_label, _require_closed, _table,
 )
 from .subterms import sub_pair
 from .syntax import Branch, Output, Select, TypeExpr, unfold
@@ -118,8 +121,17 @@ def _step(left: Node, right: Node, order: int = RULE):
     exist on the right, the right's selection labels on the left.
     ``end``/``end`` moves to the terminal pair ``(SKIP, SKIP)``, which
     has none."""
-    a = _tables.get(left) or _table(left)
-    b = _tables.get(right) or _table(right)
+    a = _tables.get(left)
+    b = _tables.get(right)
+    if not (a and b):
+        # A cold pair is refuted on its heads' constructors before either
+        # side is unfolded or compiled.
+        ka = a[0] if a else _head_kind(left)
+        kb = b[0] if b else _head_kind(right)
+        if ka is not kb and ka is not None and kb is not None:
+            return None
+        a = a or _table(left)
+        b = _tables.get(right) or _table(right)  # left may have compiled it
     acts = a[order]
     if acts is b[order]:
         if a[0] is Output:
@@ -216,6 +228,10 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     groups: Dict[type, List[Node]] = {}
     for a in count:
         groups.setdefault(type(a), []).append(a)
+        # every head is stepped against itself: compiled here, it leaves
+        # no step of the grid to the cold path of _step
+        if a not in _tables:
+            _table(a)
     doomed: Set[Tuple[Node, Node]] = set()
     reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
     edges = 0

@@ -141,7 +141,7 @@ def var(name: str) -> Var:
     node = _interned.get(key)
     if node is not None:
         return node
-    if not _VAR_RE.match(name or ""):
+    if not isinstance(name, str) or not _VAR_RE.match(name):
         raise ValueError(f"invalid variable name: {name!r}")
     return _build(key)
 
@@ -160,7 +160,11 @@ def bvar(index: int) -> BoundVar:
 def rec(body: TypeExpr) -> Rec:
     """Nameless recursion binder; ``bvar(0)`` in *body* refers to it."""
     key = (Rec, body)
-    return _interned.get(key) or _build(key)
+    node = _interned.get(key)
+    if node is not None:
+        return node
+    _require_types((body,))
+    return _build(key)
 
 
 def mu(name: str, body: TypeExpr) -> Rec:
@@ -177,6 +181,7 @@ def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
         return node
     if not payloads:
         raise EmptyArityError("payload list must be non-empty")
+    _require_types(payloads + (cont,))
     return _build(key)
 
 
@@ -200,12 +205,21 @@ def _branch_node(cls, branches):
         raise EmptyArityError("label map must be non-empty")
     labels = [l for l, _ in items]
     for l in labels:
-        if not _LABEL_RE.match(l) or l in _KEYWORDS:
+        if not isinstance(l, str) or not _LABEL_RE.match(l) \
+                or l in _KEYWORDS:
             raise ValueError(f"invalid label: {l!r}")
     for a, b in zip(labels, labels[1:]):
         if a == b:
             raise DuplicateLabelError(f"duplicate label {a!r}")
+    _require_types([k for _, k in items])
     return _build(key)
+
+
+def _require_types(kids) -> None:
+    """Raise ``ValueError`` on the first of *kids* that is not a type."""
+    for kid in kids:
+        if not isinstance(kid, TypeExpr):
+            raise ValueError(f"not a type: {kid!r}")
 
 
 def _build(key: tuple):
@@ -541,7 +555,8 @@ def parse(text: str) -> TypeExpr:
                 stack.pop()
                 scope[frame[1]].pop()
                 depth -= 1
-                node = get((Rec, node)) or rec(node)
+                key = (Rec, node)
+                node = get(key) or _build(key)
         else:
             break
 

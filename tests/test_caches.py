@@ -7,6 +7,7 @@ import stcheck
 from stcheck import cache_sizes, clear_caches
 from stcheck.bench import gen_blowup_family, random_pair
 from stcheck.subtyping import ALGORITHMS, check
+from stcheck.syntax import parse
 
 DERIVED = ("unfold", "head_tables", "action_tuples")
 
@@ -67,3 +68,14 @@ def test_checks_reuse_the_tables_the_lts_compiled():
         for algo in ALGORITHMS:
             check(left, right, algo)
             assert cache_sizes()["head_tables"] == before, (left, right, algo)
+
+
+def test_a_check_refuted_at_the_root_compiles_nothing():
+    # the heads' constructors differ, so no side is unfolded or compiled
+    left, right = parse("rec X . ?[end].X"), parse("end")
+    for algo in ("product", "memoized", "inductive"):
+        for t, u in ((left, right), (right, left)):
+            clear_caches()
+            assert not check(t, u, algo).verdict
+            sizes = cache_sizes()
+            assert (sizes["head_tables"], sizes["unfold"]) == (0, 0), algo

@@ -3,7 +3,8 @@ in a verdict or a StcheckError, never in a RecursionError.  These checks
 read the source with ``ast``; they catch a function that calls itself by
 name and any change of the interpreter's recursion limit.  Three more
 source checks keep the pair graph to one breadth-first walk, the reports to
-one check path and the node attributes to one build step."""
+one check path and the node attributes to one build step, and one more
+keeps unfolding to the head compile and the allpairs grid."""
 
 import ast
 import pathlib
@@ -22,17 +23,24 @@ BOUNDED_SELF_CALLS = {
 }
 
 
+def called(node):
+    """The name *node* calls if it is ``f(..)``, or ``x.f(..)`` with ``x`` a
+    name (``sys``, ``self``), not a call such as ``super()``; else None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.attr
+    return None
+
+
 def calls(tree):
-    """The names called in *tree*: ``f(..)``, and ``x.f(..)`` with ``x`` a
-    name (``sys``, ``self``), not a call such as ``super()``."""
+    """The names called in *tree*."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                yield func.id
-            elif isinstance(func, ast.Attribute) \
-                    and isinstance(func.value, ast.Name):
-                yield func.attr
+        name = called(node)
+        if name is not None:
+            yield name
 
 
 def test_sources_found():
@@ -56,26 +64,41 @@ def test_no_function_calls_itself():
     assert self_calls == BOUNDED_SELF_CALLS
 
 
-def modules_calling(name):
-    """The module of each call of *name* in the sources, one per call."""
+def callers(name):
+    """(module, function) for each call of *name* in the sources: the
+    innermost enclosing function, or ``<module>`` at the top level."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
-        found += [path.stem for called in calls(tree) if called == name]
-    return found
+        todo = [(tree, "<module>")]
+        while todo:
+            node, scope = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            if called(node) == name:
+                found.append((path.stem, scope))
+            todo.extend((kid, scope) for kid in ast.iter_child_nodes(node))
+    return sorted(found)
 
 
 def test_one_breadth_first_walk():
     # subtyping._pairs is the only queue: the product search and the
     # pair-graph export both run it, so a second walk cannot creep back
-    assert modules_calling("deque") == ["subtyping"]
+    assert callers("deque") == [("subtyping", "_pairs")]
 
 
 def test_one_report_builder():
     # subtyping.check builds every SubtypeReport: the searches return a
     # verdict and counters, so the closedness check, the clock and the
     # report cannot drift apart between algorithms
-    assert modules_calling("SubtypeReport") == ["subtyping"]
+    assert callers("SubtypeReport") == [("subtyping", "check")]
+
+
+def test_one_unfolding_site_per_use():
+    # lts._table compiles a head, and subtyping._sweep keys the allpairs
+    # grid by unfolded heads; no search unfolds a head outside the compile,
+    # so a pair refuted on its constructors unfolds nothing
+    assert callers("unfold") == [("lts", "_table"), ("subtyping", "_sweep")]
 
 
 NODE_ATTRIBUTES = {"size", "cutoff", "has_fvar", "contractive", "_chain"}

@@ -6,12 +6,12 @@ import time
 import pytest
 
 from helpers import weaken
-from stcheck import subtyping
+from stcheck import cache_sizes, clear_caches, subtyping
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
-from stcheck.errors import OpenTypeError
+from stcheck.errors import NotContractiveError, OpenTypeError
 from stcheck.lts import (
-    SKIP, act_end, act_in_cont, act_out_cont, in_payload, out_payload,
-    sel_label,
+    CONT_FIRST, RULE, SKIP, _table, act_end, act_in_cont, act_out_cont,
+    in_payload, out_payload, sel_label,
 )
 from stcheck.subtyping import (
     ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, ProductNode,
@@ -20,7 +20,9 @@ from stcheck.subtyping import (
     subtype_memoized, subtype_product,
 )
 from stcheck.subterms import sub_pair, sub_top_down
-from stcheck.syntax import end, inp, out, parse, select, size, unfold, var
+from stcheck.syntax import (
+    bvar, end, inp, out, parse, rec, select, size, unfold, var,
+)
 
 
 def relation_nodes(t1, t2, t3):
@@ -389,9 +391,51 @@ def test_open_types_rejected(t1):
             check(var("X"), t1, algo)
         with pytest.raises(OpenTypeError):
             check(t1, inp([var("X")], end()), algo)
-    # a free variable at a head has no table to step
-    with pytest.raises(OpenTypeError):
-        is_inconsistent(ProductNode(var("X"), var("X")))
+    # a free variable at a head has no table to step, even facing a head
+    # it could be refuted against
+    for pair in ((var("X"), var("X")), (var("X"), end()), (end(), var("X"))):
+        with pytest.raises(OpenTypeError):
+            is_inconsistent(ProductNode(*pair))
+
+
+def test_non_contractive_head_raises_before_refutation():
+    # the head is an input, but unfolding it must raise: a cold pair is
+    # refuted on the constructors only when both sides are contractive
+    t = rec(inp([rec(bvar(0))], bvar(0)))
+    for algo in ALGORITHMS:
+        with pytest.raises(NotContractiveError):
+            check(t, end(), algo)
+        with pytest.raises(NotContractiveError):
+            check(end(), t, algo)
+
+
+def stepped(left, right, order):
+    """_step's verdict with the successor pairs listed."""
+    moves = subtyping._step(left, right, order)
+    return None if moves is None else (moves[0], tuple(moves[1]))
+
+
+def test_cold_step_matches_warm_step():
+    # a step from empty caches (refuted on the constructors where they
+    # differ) and a step over two compiled tables give one result
+    refuted = 0
+    for i in range(300):
+        universe = list(sub_pair(*random_pair(i, 40))) + [SKIP]
+        cold = {}
+        for left in universe:
+            for right in universe:
+                for order in (RULE, CONT_FIRST):
+                    clear_caches()
+                    cold[left, right, order] = stepped(left, right, order)
+        clear_caches()
+        for node in universe:
+            _table(node)
+        compiled = cache_sizes()["head_tables"]
+        for (left, right, order), moves in cold.items():
+            assert stepped(left, right, order) == moves, (left, right, order)
+            refuted += moves is None
+        assert cache_sizes()["head_tables"] == compiled
+    assert refuted > 10000
 
 
 def test_unknown_algorithm_rejected_before_closedness(t1):

@@ -114,6 +114,30 @@ def test_factories_validate_on_an_intern_miss():
         branch([("a", end()), ("a", var("X"))])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: inp([1], end()),
+    lambda: out([end()], 3),
+    lambda: rec("x"),
+    lambda: select([("a", None)]),
+    lambda: branch({"a": "b"}),
+    lambda: select([(1, end())]),
+    lambda: var(1),
+], ids=["inp", "out", "rec", "select", "branch", "label", "var"])
+def test_factories_reject_non_types(build):
+    # each call misses: no key holding a non-type is ever interned
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_parse_closes_a_binder_without_the_factory(monkeypatch):
+    # parse forms the (Rec, body) key itself, as for every other construct
+    def refuse(body):
+        raise AssertionError("parse called rec")
+    monkeypatch.setattr(stcheck.syntax, "rec", refuse)
+    t = parse("rec X . ?[end].+{ a_binder_miss_r5: X }")
+    assert type(t) is Rec and t.contractive
+
+
 def test_bvar_interns_only_an_int_index():
     # 1.0 and True are equal to 1 as keys: interned, either would be every
     # later bvar(1).  A fresh process has no index 1 interned yet.
