@@ -1,5 +1,6 @@
-"""Session-type subtyping: parsing, LTS construction, four decision
-algorithms and an empirical complexity benchmark."""
+"""Session-type subtyping: parsing, LTS construction and four decision
+algorithms.  The instance generators and the complexity benchmark are in
+:mod:`stcheck.bench`, which this package does not import."""
 
 from . import lts as _lts, syntax as _syntax
 from .errors import (
@@ -17,7 +18,6 @@ from .subtyping import (
     export_product_dot, is_inconsistent, product_successors,
     subtype_all_pairs, subtype_inductive, subtype_memoized, subtype_product,
 )
-from .bench import GenConfig, BenchRecord, gen_random, gen_blowup_family, run_bench
 
 __version__ = "0.1.0"
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from random import Random
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from . import subtyping
 from .subtyping import COUNTER_KEYS, DeadlineExceeded
@@ -44,17 +44,17 @@ _WEIGHTS: Mapping[str, float] = {
 _LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int
-    max_size: int = 40
-    max_labels: int = 3
+class GenConfig(namedtuple("GenConfig", "seed max_size max_labels")):
+    """The seed and size limits of :func:`gen_random`; checked when built."""
 
-    def __post_init__(self):
-        if self.max_size < 1:
+    __slots__ = ()
+
+    def __new__(cls, seed: int, max_size: int = 40, max_labels: int = 3):
+        if max_size < 1:
             raise ValueError("max_size must be >= 1")
-        if self.max_labels < 1:
+        if max_labels < 1:
             raise ValueError("max_labels must be >= 1")
+        return super().__new__(cls, seed, max_size, max_labels)
 
 
 def gen_random(config: GenConfig) -> TypeExpr:
@@ -145,8 +145,7 @@ FAMILIES = {
 }
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(NamedTuple):
     family: str
     k: int
     size_left: int

@@ -19,7 +19,6 @@ chains without unfolding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
@@ -152,6 +151,11 @@ def _table(node: Node) -> Table:
     return table
 
 
+# The classes that are their own unfolded head's constructor: all but the
+# binder and the variables.
+HEAD_KINDS = frozenset((End, Input, Output, Select, Branch, Skip))
+
+
 def _head_kind(node: Node) -> Optional[type]:
     """The constructor of *node*'s unfolded head, read off its binder chain
     without unfolding or compiling: on a contractive type, unfolding only
@@ -214,8 +218,7 @@ def out_degree(t: TypeExpr) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TypeLts:
+class TypeLts(NamedTuple):
     """Reachable part of the LTS from ``root``; immutable after build."""
 
     root: TypeExpr

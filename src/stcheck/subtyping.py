@@ -61,13 +61,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import lts
 from .errors import StcheckError
 from .lts import (
-    CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
+    CONT_FIRST, HEAD_KINDS, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
     _head_kind, _node_label, _require_closed, _table,
 )
 from .subterms import sub_pair
@@ -98,16 +97,11 @@ class ProductNode(NamedTuple):
     right: Node
 
 
-@dataclass
-class SubtypeReport:
+class SubtypeReport(NamedTuple):
     verdict: bool
     algorithm: str
-    counters: Dict[str, int]
+    counters: Dict[str, int]  # every key of COUNTER_KEYS
     elapsed: float  # seconds
-
-    def __post_init__(self):
-        for key in COUNTER_KEYS:
-            self.counters.setdefault(key, 0)
 
 
 def _step(left: Node, right: Node, order: int = RULE):
@@ -125,9 +119,14 @@ def _step(left: Node, right: Node, order: int = RULE):
     b = _tables.get(right)
     if not (a and b):
         # A cold pair is refuted on its heads' constructors before either
-        # side is unfolded or compiled.
-        ka = a[0] if a else _head_kind(left)
-        kb = b[0] if b else _head_kind(right)
+        # side is unfolded or compiled.  Only a binder or a variable is not
+        # its own head's constructor.
+        ka = a[0] if a else type(left)
+        if ka not in HEAD_KINDS:
+            ka = _head_kind(left)
+        kb = b[0] if b else type(right)
+        if kb not in HEAD_KINDS:
+            kb = _head_kind(right)
         if ka is not kb and ka is not None and kb is not None:
             return None
         a = a or _table(left)
@@ -380,8 +379,10 @@ def check(t: TypeExpr, u: TypeExpr, algorithm: str = "product",
     _require_closed(t, u)
     start = time.perf_counter()
     verdict, counters = search(t, u, deadline)
-    return SubtypeReport(verdict, algorithm, counters,
-                         time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    for key in COUNTER_KEYS:  # a search returns only the counters it keeps
+        counters.setdefault(key, 0)
+    return SubtypeReport(verdict, algorithm, counters, elapsed)
 
 
 def subtype_product(t: TypeExpr, u: TypeExpr,

@@ -12,7 +12,9 @@ sets the node's fields from its interning key, works out ``size``,
 children, and interns the node.  Library callers construct through the
 factory functions (``end``, ``var``, ``bvar``, ``rec``, ``mu``, ``inp``,
 ``out``, ``select``, ``branch``), which look the key up and validate their
-arguments only on a miss, before the build; calling the class
+arguments only on a miss, before the build (a key that cannot be hashed,
+or labels that cannot be sorted, count as a miss, so a bad argument gets
+the check's ``ValueError``, not a ``TypeError``); calling the class
 constructors directly bypasses interning and breaks the identity-equality
 invariant.  ``parse`` and ``_rebuild`` form each key themselves, from a
 grammar or a node that has already made the factories' checks, and only
@@ -138,7 +140,10 @@ def end() -> End:
 
 def var(name: str) -> Var:
     key = (Var, name)
-    node = _interned.get(key)
+    try:
+        node = _interned.get(key)
+    except TypeError:  # an unhashable argument, rejected below
+        node = None
     if node is not None:
         return node
     if not isinstance(name, str) or not _VAR_RE.match(name):
@@ -148,7 +153,10 @@ def var(name: str) -> Var:
 
 def bvar(index: int) -> BoundVar:
     key = (BoundVar, index)
-    node = _interned.get(key)
+    try:
+        node = _interned.get(key)
+    except TypeError:  # an unhashable argument, rejected below
+        node = None
     if node is not None:
         return node
     # 1.0 and True are equal to 1 as keys: only an int may be interned
@@ -160,7 +168,10 @@ def bvar(index: int) -> BoundVar:
 def rec(body: TypeExpr) -> Rec:
     """Nameless recursion binder; ``bvar(0)`` in *body* refers to it."""
     key = (Rec, body)
-    node = _interned.get(key)
+    try:
+        node = _interned.get(key)
+    except TypeError:  # an unhashable argument, rejected below
+        node = None
     if node is not None:
         return node
     _require_types((body,))
@@ -176,7 +187,10 @@ def mu(name: str, body: TypeExpr) -> Rec:
 def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
     payloads = tuple(payloads)
     key = (cls, payloads, cont)
-    node = _interned.get(key)
+    try:
+        node = _interned.get(key)
+    except TypeError:  # an unhashable argument, rejected below
+        node = None
     if node is not None:
         return node
     if not payloads:
@@ -194,11 +208,14 @@ def out(payloads: Iterable[TypeExpr], cont: TypeExpr) -> Output:
 
 
 def _branch_node(cls, branches):
-    if isinstance(branches, Mapping):
-        branches = branches.items()
-    items = tuple(sorted(branches, key=itemgetter(0)))  # canonical order
-    key = (cls, items)
-    node = _interned.get(key)
+    items = list(branches.items() if isinstance(branches, Mapping)
+                 else branches)
+    try:
+        items.sort(key=itemgetter(0))  # canonical order
+        key = (cls, tuple(items))
+        node = _interned.get(key)
+    except TypeError:  # unsortable labels or an unhashable argument,
+        node = None    # rejected below
     if node is not None:
         return node
     if not items:

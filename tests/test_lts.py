@@ -113,6 +113,14 @@ def test_lts_owns_its_adjacency(t2):
     assert build_lts(t2).adjacency[t2] == expected
 
 
+def test_lts_fields_cannot_be_rebound(t2):
+    lts = build_lts(t2)
+    with pytest.raises(AttributeError):
+        lts.root = t2
+    with pytest.raises(AttributeError):
+        lts.adjacency = {}
+
+
 def test_determinism_property():
     # adjacency maps are action-keyed, so determinism holds by construction;
     # check every node's map agrees with transitions and stays in the LTS

@@ -3,8 +3,9 @@ in a verdict or a StcheckError, never in a RecursionError.  These checks
 read the source with ``ast``; they catch a function that calls itself by
 name and any change of the interpreter's recursion limit.  Three more
 source checks keep the pair graph to one breadth-first walk, the reports to
-one check path and the node attributes to one build step, and one more
-keeps unfolding to the head compile and the allpairs grid."""
+one check path and the node attributes to one build step, one more
+keeps unfolding to the head compile and the allpairs grid, and the last
+keeps ``dataclasses`` out of the package."""
 
 import ast
 import pathlib
@@ -99,6 +100,26 @@ def test_one_unfolding_site_per_use():
     # grid by unfolded heads; no search unfolds a head outside the compile,
     # so a pair refuted on its constructors unfolds nothing
     assert callers("unfold") == [("lts", "_table"), ("subtyping", "_sweep")]
+
+
+def imported_modules(tree):
+    """The top-level names of the modules *tree* imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which took about
+    # a quarter of a fresh `import stcheck`; the records are NamedTuples
+    importers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        if "dataclasses" in set(imported_modules(tree)):
+            importers.add(path.stem)
+    assert importers == set()
 
 
 NODE_ATTRIBUTES = {"size", "cutoff", "has_fvar", "contractive", "_chain"}

@@ -385,6 +385,24 @@ def test_equal_coinductive(t1, t2):
     assert not equal_coinductive(t1, t2)
 
 
+def test_report_sets_the_counters_a_search_does_not_keep(t1, monkeypatch):
+    # check fills every COUNTER_KEYS entry a search leaves out with 0
+    kept = dict(SEARCH_COUNTER_KEYS, allpairs=SEARCH_COUNTER_KEYS["product"])
+    for algo in ALGORITHMS:
+        counters = check(t1, t1, algo).counters
+        assert list(counters) == [*kept[algo], *(
+            key for key in COUNTER_KEYS if key not in kept[algo])], algo
+        assert all(counters[key] > 0 for key in kept[algo]), algo
+        assert all(counters[key] == 0 for key in COUNTER_KEYS
+                   if key not in kept[algo]), algo
+    monkeypatch.setitem(subtyping._SEARCHES, "product",
+                        lambda t, u, deadline: (True, {"memo_entries": 7}))
+    report = check(t1, t1)
+    assert report.counters == {**dict.fromkeys(COUNTER_KEYS, 0),
+                               "memo_entries": 7}
+    assert report.verdict and report.algorithm == "product"
+
+
 def test_open_types_rejected(t1):
     for algo in ALGORITHMS:
         with pytest.raises(OpenTypeError):

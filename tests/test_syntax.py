@@ -122,9 +122,18 @@ def test_factories_validate_on_an_intern_miss():
     lambda: branch({"a": "b"}),
     lambda: select([(1, end())]),
     lambda: var(1),
-], ids=["inp", "out", "rec", "select", "branch", "label", "var"])
+    lambda: rec([]),
+    lambda: inp([end()], {}),
+    lambda: select([(1, end()), ("a", end())]),
+    lambda: var([]),
+    lambda: bvar([]),
+], ids=["inp", "out", "rec", "select", "branch", "label", "var",
+        "rec-unhashable", "inp-unhashable", "labels-unsortable",
+        "var-unhashable", "bvar-unhashable"])
 def test_factories_reject_non_types(build):
-    # each call misses: no key holding a non-type is ever interned
+    # each call misses: no key holding a non-type is ever interned.  An
+    # argument that cannot be hashed or sorted fails the lookup with a
+    # TypeError, which the factory turns into its own check's ValueError
     with pytest.raises(ValueError):
         build()
 
