@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from . import bench, subtyping
+from . import subtyping
 from .errors import StcheckError
 from .lts import build_lts, lts_to_dot
 from .subterms import sub_bottom_up, sub_top_down
@@ -102,7 +102,14 @@ def cmd_subterms(args) -> int:
     return EXIT_OK
 
 
+# sorted(bench.FAMILIES): the harness is imported only by cmd_bench, so a
+# check does not load it or csv
+BENCH_FAMILIES = ("exp", "random")
+
+
 def cmd_bench(args) -> int:
+    from . import bench
+
     timeout = bench.DEFAULT_TIMEOUT
     env = os.environ.get("STCHECK_TIMEOUT_MS")
     if env is not None:
@@ -116,7 +123,7 @@ def cmd_bench(args) -> int:
     for algo in algorithms:
         if algo not in subtyping.ALGORITHMS:
             raise StcheckError(f"unknown algorithm: {algo!r}")
-    kmax = args.kmax
+    kmax = bench.DEFAULT_KMAX_INDUCTIVE if args.kmax is None else args.kmax
     if kmax < 1:
         raise StcheckError(f"--kmax must be at least 1, got {kmax}")
     records = []
@@ -175,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subterms)
 
     p = sub.add_parser("bench", help="run the benchmark harness, emit CSV")
-    p.add_argument("--family", choices=sorted(bench.FAMILIES), default="exp")
-    p.add_argument("--kmax", type=int, default=bench.DEFAULT_KMAX_INDUCTIVE)
+    p.add_argument("--family", choices=BENCH_FAMILIES, default="exp")
+    p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--csv", default=None, help="output path (default stdout)")
     p.add_argument("--algos", default=None,
                    help="comma-separated algorithm subset (default: all four)")

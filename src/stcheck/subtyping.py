@@ -25,8 +25,11 @@ relation:
   there are no parent pointers yet.
 * ``allpairs``   -- the full pair grid with a backward sweep from the
   inconsistent pairs; yields verdicts for every pair of subterms at once.
-  Only same-constructor pairs of unfolded heads are stepped, each once;
-  ``product_edges`` still counts the moves of every cell of the grid.
+  Only same-constructor pairs of unfolded heads are stepped: each once,
+  and the cells before the first doomed one once more, since predecessor
+  lists are kept only from that cell on (a grid with no doomed cell, such
+  as every ``exp`` pair's, builds none).  ``product_edges`` still counts
+  the moves of every cell of the grid.
 
 The subtyping rules are written once, in :func:`_step`.  It maps a pair
 to ``None`` when the pair is inconsistent (different head constructors,
@@ -220,7 +223,12 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     heads: only pairs of heads with one constructor are stepped.  Returns
     the universe, the test ``holds(l, r)`` on its members and the moves
     summed over every universe cell (a head pair's moves times the
-    multiplicities of its two heads)."""
+    multiplicities of its two heads).
+
+    Predecessor lists are kept only from the first doomed cell on, in
+    grid order: before it there is nothing to propagate.  If the grid has
+    a doomed cell, the cells before the first one are stepped again, once,
+    to record their edges; if it has none, no list is built at all."""
     universe = list(sub_pair(t, u)) + [SKIP]
     head = {v: unfold(v) for v in universe}
     count = Counter(head.values())
@@ -247,10 +255,23 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
             edges += len(acts) * count[a] * count[b]
             for x, y in pairs:
                 x, y = head[x], head[y]
-                if type(x) is type(y):
-                    reverse.setdefault((x, y), []).append(node)
-                else:
+                if type(x) is not type(y):
                     doomed.add(node)
+                elif doomed:  # before the first doomed cell, keep nothing
+                    reverse.setdefault((x, y), []).append(node)
+    if doomed:  # step the cells before the first doomed one again
+        for a in count:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise DeadlineExceeded
+            for b in groups[type(a)]:
+                node = (a, b)
+                if node in doomed:
+                    break
+                # not doomed: stepped, with heads of one kind in each pair
+                for x, y in _step(a, b)[1]:
+                    reverse.setdefault((head[x], head[y]), []).append(node)
+            if node in doomed:
+                break
     stack = list(doomed)
     while stack:
         for pred in reverse.get(stack.pop(), ()):

@@ -62,6 +62,7 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _LABEL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _KEYWORDS = ("end", "rec")
+_BY_LABEL = itemgetter(0)  # sort key of choice items: never compares nodes
 
 
 class TypeExpr:
@@ -211,7 +212,7 @@ def _branch_node(cls, branches):
     items = list(branches.items() if isinstance(branches, Mapping)
                  else branches)
     try:
-        items.sort(key=itemgetter(0))  # canonical order
+        items.sort(key=_BY_LABEL)  # canonical order
         key = (cls, tuple(items))
         node = _interned.get(key)
     except TypeError:  # unsortable labels or an unhashable argument,
@@ -434,14 +435,16 @@ def unfold(t: TypeExpr) -> TypeExpr:
 #
 # Variables start uppercase, labels lowercase; '#' starts a line comment.
 #
-# One findall over the text yields every token: each match skips blanks
-# and comments, then takes an identifier, a punctuator, any other single
-# character (a bad one) or, only at the end of the text, the empty string.
-# That last alternative always matches, so the skip is never backtracked
-# and the scan is linear on any input.  The parser is a loop over the
-# token list with an explicit stack of open constructs, so nesting depth
-# is bounded by memory, not by the recursion limit.  Offsets, lines and
-# columns are worked out only when an error is raised.
+# One findall over the text yields every token: an identifier, a
+# punctuator or any other single character that is not a blank (a bad
+# one); the parser appends the empty string as the end token.  Every '#'
+# starts a comment, since no token takes one in, so a text with a '#' is
+# first scanned with each comment blanked to spaces of its own length,
+# which keeps every offset.  Both scans are linear on any input.  The
+# parser is a loop over the token list with an explicit stack of open
+# constructs, so nesting depth is bounded by memory, not by the recursion
+# limit.  Offsets, lines and columns are worked out only when an error is
+# raised.
 #
 # Errors are those of a one-token-lookahead reader: a bad character is
 # reported as soon as the token before it is consumed.  So a syntax error
@@ -451,10 +454,8 @@ def unfold(t: TypeExpr) -> TypeExpr:
 # a label) or a duplicate label at a closing '}' is reported after it.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    ( [A-Za-z][A-Za-z0-9_]* | [?!]\[ | [+&]\{ | [\]\}.,:] | [\s\S] | )
-""", re.VERBOSE)
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[?!]\[|[+&]\{|[^ \t\r\n]")
+_COMMENT = re.compile(r"#[^\n]*")
 _PUNCT = frozenset(("?[", "![", "+{", "&{", "]", "}", ".", ",", ":"))
 
 # Frames of the explicit stack; the node just parsed is handed to the
@@ -471,7 +472,8 @@ def parse(text: str) -> TypeExpr:
     Raises :class:`ParseError`, :class:`NotContractiveError`,
     :class:`DuplicateLabelError` or :class:`EmptyArityError`.
     """
-    toks = _TOKEN_RE.findall(text)
+    toks = _TOKEN.findall(_blank(text))
+    toks.append("")
     get = _interned.get
     end_node = end()
     stack = []
@@ -562,12 +564,14 @@ def parse(text: str) -> TypeExpr:
                 if tok != "}":
                     _fail(text, toks, i, _expected("}", tok))
                 i += 1
-                if len({l for l, _ in items}) < len(items):
-                    _duplicate(text, toks, i, items)
                 stack.pop()
-                items.sort()  # the labels differ, so this is label order
-                key = (frame[1], tuple(items))
-                node = get(key) or _build(key)
+                # items keep text order: _duplicate names the first repeat
+                key = (frame[1], tuple(sorted(items, key=_BY_LABEL)))
+                node = get(key)
+                if node is None:  # a hit was interned with distinct labels
+                    if len({l for l, _ in items}) < len(items):
+                        _duplicate(text, toks, i, items)
+                    node = _build(key)
             else:
                 stack.pop()
                 scope[frame[1]].pop()
@@ -602,9 +606,18 @@ def _is_bad(tok: str) -> bool:
     return tok != "" and tok not in _PUNCT and not _IDENT_RE.match(tok)
 
 
+def _blank(text: str) -> str:
+    """*text* with each comment blanked to spaces of its own length."""
+    if "#" in text:
+        return _COMMENT.sub(lambda m: " " * len(m.group()), text)
+    return text
+
+
 def _position(text: str, k: int) -> Tuple[int, int]:
-    """Line and column (1-based) of token *k*."""
-    off = next(islice(_TOKEN_RE.finditer(text), k, None)).start(1)
+    """Line and column (1-based) of token *k*; the end token is at the end
+    of the text."""
+    match = next(islice(_TOKEN.finditer(_blank(text)), k, None), None)
+    off = len(text) if match is None else match.start()
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 

@@ -148,6 +148,15 @@ def test_bench_bad_algo(capsys):
     assert main(["bench", "--kmax", "1", "--algos", "bogus"]) == EXIT_ERROR
 
 
+def test_bench_families_are_the_harness_families(capsys):
+    from stcheck import bench
+    assert cli.BENCH_FAMILIES == tuple(sorted(bench.FAMILIES))
+    # without --kmax, exp runs k = 1 .. DEFAULT_KMAX_INDUCTIVE
+    assert main(["bench", "--family", "exp", "--algos", "product"]) == EXIT_OK
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 1 + bench.DEFAULT_KMAX_INDUCTIVE
+
+
 def test_bench_kmax_below_one(capsys):
     for kmax in ("0", "-3"):
         assert main(["bench", "--kmax", kmax, "--algos", "product"]) == EXIT_ERROR

@@ -1,8 +1,8 @@
-"""Importing the library loads only what a check needs: not the benchmark
-harness, and none of the heavy standard modules that ``dataclasses`` or
-``csv`` pull in.  A command-line check or a benchmark worker is a fresh
-process, so it pays for every module it imports.  These tests name
-modules only; they time nothing."""
+"""Importing the library or the command line loads only what a check
+needs: not the benchmark harness, and none of the heavy standard modules
+that ``dataclasses`` or ``csv`` pull in.  A command-line check or a
+benchmark worker is a fresh process, so it pays for every module it
+imports.  These tests name modules only; they time nothing."""
 
 import json
 import os
@@ -35,6 +35,7 @@ def modules_loaded_by(statement):
 @pytest.mark.parametrize("statement", [
     "import stcheck",
     "from stcheck import lts, subtyping, syntax",
+    "import stcheck.cli",
 ])
 def test_import_loads_nothing_a_check_does_not_need(statement):
     loaded = modules_loaded_by(statement)

@@ -201,8 +201,40 @@ def test_allpairs_counters_on_true_pairs():
         == ALLPAIRS_COUNTERS_ON_TRUE_RANDOM_PAIRS
 
 
+def test_allpairs_builds_no_predecessor_lists_without_a_doomed_cell():
+    # No cell of an exp grid is doomed, so the sweep has nothing to
+    # propagate.  A map of every cell's predecessors peaked at 3.4 MB on
+    # k=60; the bound counts traced bytes, not time.
+    import tracemalloc
+
+    pair = gen_blowup_family(60)
+    check(*pair, "allpairs")  # compile the tables first
+    tracemalloc.start()
+    try:
+        assert check(*pair, "allpairs").verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+
+def test_allpairs_refutes_through_a_cell_stepped_before_any_is_doomed(
+        monkeypatch):
+    # With the root first in the grid, the root cell is stepped before the
+    # payload cell (+{ b }, +{ a }) is found doomed, so the sweep must
+    # record the root's edges afterwards.
+    t = parse("![+{ a: end }].end")
+    u = parse("![+{ b: end }].end")
+    rest = sub_pair(t, u) - {t, u}
+    monkeypatch.setattr(subtyping, "sub_pair", lambda l, r: [t, u, *rest])
+    assert not check(t, u, "allpairs").verdict
+    assert ProductNode(t, u) not in subtype_all_pairs(t, u)
+
+
 def test_allpairs_deadline_overshoot_is_bounded():
-    left, right = gen_blowup_family(120)
+    # the sweep must outlast the deadline: on 2 vCPUs k = 200 takes about
+    # 120 ms, and k = 120 only about 45 ms
+    left, right = gen_blowup_family(200)
     start = time.perf_counter()
     with pytest.raises(DeadlineExceeded):
         check(left, right, "allpairs", deadline=start + 0.05)

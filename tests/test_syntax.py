@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import time
 import pytest
 
 import stcheck
+from stcheck import syntax
 from stcheck.errors import (
     DuplicateLabelError, EmptyArityError, NotContractiveError, ParseError,
     StcheckError,
@@ -286,6 +288,32 @@ def test_traversal_results_are_pinned():
 def test_comments_and_whitespace():
     t = parse("# interface\nrec X .\n  +{ respond: ?[end].X, # loop\n     exit: end }")
     assert t is parse(T1_TEXT)
+
+
+# The tokenizer before comments were blanked: one match per token skipped
+# blanks and comments, then took a token or, only at the end, "".
+_SKIPPING_TOKEN_RE = re.compile(r"""
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    ( [A-Za-z][A-Za-z0-9_]* | [?!]\[ | [+&]\{ | [\]\}.,:] | [\s\S] | )
+""", re.VERBOSE)
+
+
+def test_tokens_and_offsets_match_the_skipping_tokenizer():
+    pieces = ["a", "Xy_1", "end", "rec", "?", "!", "[", "]", "+", "&", "{",
+              "}", ".", ",", ":", "#", "# c", "\n", "\v", "\xa0", " ", "\t",
+              "\r", "$", "9"]
+    rng = random.Random(16)
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        old = [m.start(1) for m in _SKIPPING_TOKEN_RE.finditer(text)]
+        old_toks = _SKIPPING_TOKEN_RE.findall(text)
+        if len(old_toks) > 1 and old_toks[-2:] == ["", ""]:
+            del old_toks[-1], old[-1]  # "" once more after trailing blanks
+        toks = syntax._TOKEN.findall(syntax._blank(text)) + [""]
+        assert toks == old_toks, text
+        assert [syntax._position(text, k) for k in range(len(toks))] \
+            == [(text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
+                for off in old], text
 
 
 def test_render_end():
