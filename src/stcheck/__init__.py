@@ -4,20 +4,32 @@ algorithms.  The instance generators and the complexity benchmark are in
 
 from . import lts as _lts, syntax as _syntax
 from .errors import (
-    DuplicateLabelError, EmptyArityError, NotContractiveError,
-    OpenTypeError, ParseError, StcheckError,
+    DeadlineExceeded, DuplicateLabelError, EmptyArityError,
+    NotContractiveError, OpenTypeError, ParseError, StcheckError,
 )
 from .syntax import (
-    TypeExpr, parse, render, size, is_contractive, is_closed,
-    substitute, unfold, end, var, mu, rec, bvar, inp, out, select, branch,
+    TypeExpr, parse, render, size, is_closed, unfold,
+    end, var, mu, rec, bvar, inp, out, select, branch,
 )
 from .subterms import sub_bottom_up, sub_top_down, sub_pair
-from .lts import SKIP, Action, TypeLts, build_lts, out_degree, transitions
+from .lts import SKIP, Action, TypeLts, build_lts
 from .subtyping import (
-    ALGORITHMS, ProductNode, SubtypeReport, check, equal_coinductive,
-    export_product_dot, is_inconsistent, product_successors,
-    subtype_all_pairs, subtype_inductive, subtype_memoized, subtype_product,
+    ALGORITHMS, SubtypeReport, check, export_product_dot,
+    subtype_inductive, subtype_memoized, subtype_product,
 )
+
+__all__ = [
+    "StcheckError", "ParseError", "NotContractiveError",
+    "DuplicateLabelError", "EmptyArityError", "OpenTypeError",
+    "DeadlineExceeded",
+    "TypeExpr", "parse", "render", "size", "is_closed", "unfold",
+    "end", "var", "mu", "rec", "bvar", "inp", "out", "select", "branch",
+    "sub_bottom_up", "sub_top_down", "sub_pair",
+    "SKIP", "Action", "TypeLts", "build_lts",
+    "ALGORITHMS", "SubtypeReport", "check", "subtype_product",
+    "subtype_inductive", "subtype_memoized", "export_product_dot",
+    "cache_sizes", "clear_caches",
+]
 
 __version__ = "0.1.0"
 

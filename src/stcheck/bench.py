@@ -27,9 +27,9 @@ from .subtyping import COUNTER_KEYS, DeadlineExceeded
 from .syntax import TypeExpr, bvar, end, inp, out, rec, select, branch, size
 
 __all__ = [
-    "GenConfig", "BenchRecord", "gen_random", "gen_blowup_family",
-    "random_pair", "run_bench", "write_csv", "fit_quadratic",
-    "DEFAULT_TIMEOUT", "DEFAULT_KMAX_INDUCTIVE", "FAMILIES",
+    "GenConfig", "gen_random", "random_pair", "gen_blowup_family",
+    "FAMILIES", "run_bench", "write_csv", "CSV_COLUMNS", "DEFAULT_TIMEOUT",
+    "DEFAULT_KMAX_INDUCTIVE",
 ]
 
 DEFAULT_TIMEOUT = 10.0  # seconds per run
@@ -211,14 +211,3 @@ def write_csv(records: Iterable[BenchRecord], stream) -> None:
             int(r.verdict), *(r.counters[key] for key in CSV_COLUMNS[6:10]),
             r.elapsed_ns, int(r.timed_out),
         ])
-
-
-def fit_quadratic(ks: Sequence[int], ys: Sequence[int]) -> Tuple[float, float]:
-    """Least-squares fit y = c*k^2; returns (c, max relative residual)."""
-    if len(ks) != len(ys) or not ks:
-        raise ValueError("ks and ys must be nonempty and the same length")
-    num = sum(y * k * k for k, y in zip(ks, ys))
-    den = sum(k ** 4 for k in ks)
-    c = num / den
-    worst = max(abs(y - c * k * k) / y for k, y in zip(ks, ys) if y > 0)
-    return c, worst

@@ -96,7 +96,7 @@ def cmd_graph(args) -> int:
 def cmd_subterms(args) -> int:
     t = _load(args.file)
     subs = sub_top_down(t) if args.flavor == "td" else sub_bottom_up(t)
-    # canonical_order's listing, with each subterm rendered once
+    # sorted by rendered text, each subterm rendered once
     for text in sorted(map(render, subs)):
         print(text)
     return EXIT_OK

@@ -29,3 +29,10 @@ class EmptyArityError(StcheckError):
 class OpenTypeError(StcheckError):
     """An operation that requires a closed type was given one with free
     variables."""
+
+
+class DeadlineExceeded(StcheckError):
+    """A check's deadline passed before the search reached a verdict."""
+
+    def __init__(self, message: str = "deadline passed before a verdict"):
+        super().__init__(message)

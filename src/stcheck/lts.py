@@ -10,9 +10,9 @@ two orders, rule order (``RULE``: payloads before the continuation) and
 node maps to its head's table, so a type and its unfolding share one and
 have identical outgoing edges.  The action tuples are shared by all heads
 of one kind with one arity or one label tuple, so one identity test
-matches two heads.  :func:`transitions` reads a table in Action order and
-the subtyping searches zip two tables; there is no other encoding of a
-head's moves.  A step compiles a missing table only when the two heads
+matches two heads.  :func:`build_lts` reads the tables in Action order
+and the subtyping searches zip two tables; there is no other encoding of
+a head's moves.  A step compiles a missing table only when the two heads
 have one constructor, which :func:`_head_kind` reads off the binder
 chains without unfolding.
 """
@@ -27,14 +27,7 @@ from .syntax import (
     is_closed, render, unfold,
 )
 
-__all__ = [
-    "SKIP", "Skip", "Node",
-    "A_END", "A_IN_CONT", "A_OUT_CONT", "A_IN_PAYLOAD", "A_OUT_PAYLOAD",
-    "A_BRA", "A_SEL",
-    "Action", "act_end", "act_in_cont", "act_out_cont", "in_payload",
-    "out_payload", "bra_label", "sel_label", "action_name",
-    "transitions", "out_degree", "TypeLts", "build_lts", "lts_to_dot",
-]
+__all__ = ["SKIP", "Node", "Action", "TypeLts", "build_lts", "lts_to_dot"]
 
 
 class Skip:
@@ -197,27 +190,6 @@ def _require_closed(t: Node, u: Node = SKIP) -> None:
             raise OpenTypeError(f"type has free variables: {render(node)}")
 
 
-def transitions(t: Node) -> Dict[Action, Node]:
-    """Outgoing edges of a node as an action-keyed map (deterministic LTS),
-    read from its head's table in :class:`Action` order; a new dict per
-    call.  Raises :class:`OpenTypeError` on a type with free variables."""
-    _require_closed(t)
-    table = _tables.get(t) or _table(t)
-    return dict(zip(table[CONT_FIRST], table[CONT_FIRST + 1]))
-
-
-def out_degree(t: TypeExpr) -> int:
-    """Out-degree measure of an *unfolded* head; recursion binders and
-    variables count 0 because they are not unfolded heads."""
-    if isinstance(t, End):
-        return 1
-    if isinstance(t, (Input, Output)):
-        return len(t.payloads) + 1
-    if isinstance(t, (Select, Branch)):
-        return len(t.branches)
-    return 0
-
-
 class TypeLts(NamedTuple):
     """Reachable part of the LTS from ``root``; immutable after build."""
 
@@ -234,8 +206,12 @@ class TypeLts(NamedTuple):
 
 
 def build_lts(t: TypeExpr) -> TypeLts:
-    """Reachable closure of :func:`transitions`.  Only the root is tested
-    for closedness: every node reachable from a closed root is closed."""
+    """The reachable part of the LTS from *t*: each node's outgoing edges
+    as an action-keyed map (the LTS is deterministic), read from its head's
+    table in :class:`Action` order; a new dict per node and per call.
+    Raises :class:`OpenTypeError` on a type with free variables; only the
+    root is tested, since every node reachable from a closed root is
+    closed."""
     _require_closed(t)
     adjacency: Dict[Node, Dict[Action, Node]] = {}
     queue = [t]

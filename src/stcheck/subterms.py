@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-from .syntax import Rec, TypeExpr, _children, render, subst_top
+from .syntax import Rec, TypeExpr, _children, subst_top
 
-__all__ = ["sub_bottom_up", "sub_top_down", "sub_pair", "canonical_order"]
+__all__ = ["sub_bottom_up", "sub_top_down", "sub_pair"]
 
 
 def sub_bottom_up(t: TypeExpr) -> FrozenSet[TypeExpr]:
@@ -61,8 +61,3 @@ def sub_top_down(t: TypeExpr) -> FrozenSet[TypeExpr]:
 
 def sub_pair(t: TypeExpr, u: TypeExpr) -> FrozenSet[TypeExpr]:
     return sub_top_down(t) | sub_top_down(u)
-
-
-def canonical_order(types) -> list:
-    """Stable listing order: lexicographic on the rendered text."""
-    return sorted(types, key=render)

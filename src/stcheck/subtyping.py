@@ -64,10 +64,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import Counter, deque
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import lts
-from .errors import StcheckError
+from .errors import DeadlineExceeded
 from .lts import (
     CONT_FIRST, HEAD_KINDS, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
     _head_kind, _node_label, _require_closed, _table,
@@ -76,11 +76,10 @@ from .subterms import sub_pair
 from .syntax import Branch, Output, Select, TypeExpr, unfold
 
 __all__ = [
-    "ProductNode", "SubtypeReport", "DeadlineExceeded", "ALGORITHMS",
-    "is_inconsistent", "product_successors",
-    "subtype_product", "subtype_all_pairs",
-    "subtype_inductive", "subtype_memoized",
-    "check", "equal_coinductive", "export_product_dot",
+    "ALGORITHMS", "COUNTER_KEYS", "SubtypeReport", "DeadlineExceeded",
+    "check", "subtype_product", "subtype_inductive", "subtype_memoized",
+    "export_product_dot", "ProductNode", "is_inconsistent",
+    "product_successors",
 ]
 
 # Bound by assignment, not imported: CPython 3.11 compiles a call on an
@@ -90,9 +89,6 @@ _tables = lts._tables
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
                 "product_edges", "max_context_depth")
-
-class DeadlineExceeded(StcheckError):
-    """Raised internally when a cooperative deadline passes."""
 
 
 class ProductNode(NamedTuple):
@@ -286,17 +282,6 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     return universe, holds, edges
 
 
-def subtype_all_pairs(t: TypeExpr, u: TypeExpr) -> FrozenSet[ProductNode]:
-    """Exactly the pairs (T', U') over the joint subterm universe (plus
-    the terminal) with T' a subtype of U': the complement of the backward
-    closure of the inconsistent pairs."""
-    _require_closed(t, u)
-    universe, holds, _ = _sweep(t, u, None)
-    return frozenset(
-        ProductNode(lv, rv)
-        for lv in universe for rv in universe if holds(lv, rv))
-
-
 def _allpairs(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     """Verdict for the root pair via the all-pairs backward sweep."""
     universe, holds, edges = _sweep(t, u, deadline)
@@ -419,10 +404,6 @@ def subtype_inductive(t: TypeExpr, u: TypeExpr,
 def subtype_memoized(t: TypeExpr, u: TypeExpr,
                      deadline: Optional[float] = None) -> SubtypeReport:
     return check(t, u, "memoized", deadline)
-
-
-def equal_coinductive(t: TypeExpr, u: TypeExpr) -> bool:
-    return subtype_product(t, u).verdict and subtype_product(u, t).verdict
 
 
 def _pair_label(p: Tuple[Node, Node]) -> str:

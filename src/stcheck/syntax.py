@@ -23,12 +23,12 @@ look it up, building on a miss.
 The structural operations walk a type with an explicit stack over one
 child listing, ``_children`` (payloads, then the continuation; branches in
 label order; a binder's body, one binder deeper), so nesting depth is
-bounded by memory, not by the recursion limit.  ``mu``, ``shift``,
-``subst_top`` and ``substitute`` say only what a variable leaf becomes;
-``_rewrite`` rebuilds the rest bottom-up through ``_rebuild`` and keeps
-every subtree the operation cannot change: one whose dangling indices all
-lie below the current binder depth for the index operations, one without
-named variables for the name operations.  ``free_names``, ``render`` and
+bounded by memory, not by the recursion limit.  ``mu``, ``shift`` and
+``subst_top`` say only what a variable leaf becomes; ``_rewrite``
+rebuilds the rest bottom-up through ``_rebuild`` and keeps every subtree
+the operation cannot change: one whose dangling indices all lie below the
+current binder depth for the index operations, one without named
+variables for ``mu``.  ``free_names``, ``render`` and
 the subterm sets of :mod:`stcheck.subterms` are loops over the same listing.
 """
 
@@ -51,8 +51,7 @@ __all__ = [
     "TypeExpr", "End", "Var", "BoundVar", "Rec", "Input", "Output",
     "Select", "Branch",
     "end", "var", "bvar", "rec", "mu", "inp", "out", "select", "branch",
-    "parse", "render", "size", "is_contractive", "is_closed",
-    "free_names", "substitute", "unfold", "shift",
+    "parse", "render", "size", "is_closed", "unfold",
 ]
 
 Branches = Tuple[Tuple[str, "TypeExpr"], ...]
@@ -295,10 +294,6 @@ def size(t: TypeExpr) -> int:
     return t.size
 
 
-def is_contractive(t: TypeExpr) -> bool:
-    return t.contractive
-
-
 def is_closed(t: TypeExpr) -> bool:
     return t.cutoff == 0 and not t.has_fvar
 
@@ -387,18 +382,6 @@ def subst_top(t: TypeExpr, s: TypeExpr, depth: int = 0) -> TypeExpr:
     binder level (dangling indices above *depth* shift down by one)."""
     return _rewrite(t, depth, BoundVar, lambda u, d:
                     shift(s, d) if u.index == d else bvar(u.index - 1))
-
-
-def substitute(t: TypeExpr, x: str, s: TypeExpr) -> TypeExpr:
-    """Replace free occurrences of the named variable *x* in *t* by *s*.
-
-    Capture is impossible by construction: binders bind indices, never
-    names, so a named variable can never be captured by a binder of *t*.
-    *s* must not contain dangling indices of its own.
-    """
-    if s.cutoff != 0:
-        raise ValueError("replacement type has dangling binder indices")
-    return _rewrite(t, 0, Var, lambda u, d: s if u.name == x else u)
 
 
 _unfold_cache: dict = {}

@@ -1,13 +1,20 @@
-"""Shared test data: the paper's three example types and a syntactic
-widening used to build likely subtype chains.  A plain module, not part of
-``conftest.py``, so that test files can import it by name while other
-test directories bring their own ``conftest``."""
+"""Shared test data and references: the paper's three example types, a
+syntactic widening used to build likely subtype chains, the moves of an
+LTS node read off its unfolding, and the quadratic fit of the acceptance
+gate.  A plain module, not part of ``conftest.py``, so that test files can
+import it by name while other test directories bring their own
+``conftest``."""
 
 import random
+from typing import Sequence, Tuple
 
+from stcheck.lts import (
+    SKIP, act_end, act_in_cont, act_out_cont, bra_label, in_payload,
+    out_payload, sel_label,
+)
 from stcheck.syntax import (
-    TypeExpr, Branch, Input, Output, Rec, Select,
-    branch, end, inp, out, rec, select,
+    TypeExpr, Branch, End, Input, Output, Rec, Select,
+    branch, end, inp, out, rec, select, unfold,
 )
 
 T1_TEXT = "rec X . +{ respond: ?[end].X, exit: end }"
@@ -42,3 +49,32 @@ def weaken(t: TypeExpr, rng: random.Random, sign: int = 1) -> TypeExpr:
                 items.append((fresh, end()))
         return select(items) if isinstance(t, Select) else branch(items)
     return t
+
+
+def expected_edges(node) -> dict:
+    """The action-keyed moves of an LTS node, read off its unfolding alone:
+    a reference for ``build_lts``, which reads the compiled head tables."""
+    if node is SKIP:
+        return {}
+    head = unfold(node)
+    if isinstance(head, End):
+        return {act_end: SKIP}
+    if isinstance(head, (Input, Output)):
+        payload, cont = ((in_payload, act_in_cont) if isinstance(head, Input)
+                         else (out_payload, act_out_cont))
+        edges = {payload(i): p for i, p in enumerate(head.payloads, 1)}
+        edges[cont] = head.cont
+        return edges
+    label = sel_label if isinstance(head, Select) else bra_label
+    return {label(l): b for l, b in head.branches}
+
+
+def fit_quadratic(ks: Sequence[int], ys: Sequence[int]) -> Tuple[float, float]:
+    """Least-squares fit y = c*k^2; returns (c, max relative residual)."""
+    if len(ks) != len(ys) or not ks:
+        raise ValueError("ks and ys must be nonempty and the same length")
+    num = sum(y * k * k for k, y in zip(ks, ys))
+    den = sum(k ** 4 for k in ks)
+    c = num / den
+    worst = max(abs(y - c * k * k) / y for k, y in zip(ks, ys) if y > 0)
+    return c, worst

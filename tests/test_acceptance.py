@@ -9,9 +9,9 @@ import random
 import time
 
 import stcheck.syntax as syntax
-from helpers import weaken
+from helpers import fit_quadratic, weaken
 from stcheck.bench import (
-    GenConfig, fit_quadratic, gen_blowup_family, gen_random, random_pair,
+    GenConfig, gen_blowup_family, gen_random, random_pair,
 )
 from stcheck.lts import SKIP, build_lts
 from stcheck.subtyping import (

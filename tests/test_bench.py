@@ -2,13 +2,13 @@ import csv
 
 import pytest
 
+from helpers import fit_quadratic
 from stcheck.bench import (
     CSV_COLUMNS, DEFAULT_KMAX_INDUCTIVE, FAMILIES, GenConfig,
-    fit_quadratic, gen_blowup_family, gen_random, random_pair, run_bench,
-    write_csv,
+    gen_blowup_family, gen_random, random_pair, run_bench, write_csv,
 )
 from stcheck.subtyping import subtype_inductive, subtype_product
-from stcheck.syntax import is_closed, is_contractive, parse, render, size
+from stcheck.syntax import is_closed, parse, render, size
 
 
 # frozen baseline: judgements visited by the inductive algorithm on the
@@ -27,7 +27,7 @@ def test_gen_random_wellformed():
     for seed in range(500):
         t = gen_random(GenConfig(seed=seed, max_size=40))
         assert is_closed(t)
-        assert is_contractive(t)
+        assert t.contractive
         assert size(t) <= 40
 
 

@@ -11,6 +11,8 @@ import stcheck
 from stcheck import cli
 from stcheck.bench import CSV_COLUMNS
 from stcheck.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
+from stcheck.subterms import sub_top_down
+from stcheck.syntax import parse, render
 
 
 @pytest.fixture
@@ -106,6 +108,11 @@ def test_dot_to_unwritable_path_is_an_io_error(files, tmp_path, capsys,
 def test_subterms_counts(files, capsys):
     assert main(["subterms", files["t1"]]) == EXIT_OK
     assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
+    # one line per subterm, sorted by its rendered text
+    assert main(["subterms", files["t2"]]) == EXIT_OK
+    listing = capsys.readouterr().out.splitlines()
+    assert listing == sorted(map(render, sub_top_down(parse(T2_TEXT))))
 
     assert main(["subterms", "--flavor", "bu", files["t2"]]) == EXIT_OK
     assert len(capsys.readouterr().out.strip().splitlines()) == 5

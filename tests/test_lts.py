@@ -3,21 +3,27 @@ import re
 
 import pytest
 
+from helpers import expected_edges
 from stcheck.bench import GenConfig, gen_random, random_pair
 from stcheck.errors import OpenTypeError
 from stcheck.lts import (
     SKIP, act_end, act_in_cont, act_out_cont, build_lts, in_payload,
-    lts_to_dot, out_degree, out_payload, sel_label, transitions,
+    lts_to_dot, out_payload, sel_label,
 )
 from stcheck.syntax import bvar, end, inp, parse, render, size, unfold, var
 
 
+def moves(t):
+    """The outgoing edges of *t* in its own LTS."""
+    return build_lts(t).adjacency[t]
+
+
 def test_transitions_end():
-    assert transitions(end()) == {act_end: SKIP}
+    assert moves(end()) == {act_end: SKIP}
 
 
 def test_transitions_select(t1):
-    assert transitions(t1) == {
+    assert moves(t1) == {
         sel_label("respond"): inp([end()], t1),
         sel_label("exit"): end(),
     }
@@ -25,21 +31,14 @@ def test_transitions_select(t1):
 
 def test_transitions_input(t1):
     node = inp([end()], t1)
-    assert transitions(node) == {act_in_cont: t1, in_payload(1): end()}
+    assert moves(node) == {act_in_cont: t1, in_payload(1): end()}
 
 
 def test_transitions_output():
     node = parse("![end,end].?[end].end")
-    succ = transitions(node)
+    succ = moves(node)
     assert set(succ) == {out_payload(1), out_payload(2), act_out_cont}
     assert succ[act_out_cont] == parse("?[end].end")
-
-
-def test_transitions_open_type_rejected():
-    with pytest.raises(OpenTypeError):
-        transitions(var("X"))
-    with pytest.raises(OpenTypeError):
-        transitions(inp([var("X")], end()))
 
 
 def test_build_lts_rejects_an_open_root():
@@ -49,7 +48,7 @@ def test_build_lts_rejects_an_open_root():
 
 
 def test_skip_has_no_transitions():
-    assert transitions(SKIP) == {}
+    assert build_lts(end()).adjacency[SKIP] == {}
 
 
 def test_build_lts_end():
@@ -71,11 +70,10 @@ def test_build_lts_t2(t2):
 
 
 def test_out_degree_examples():
-    assert out_degree(end()) == 1
-    assert out_degree(parse("rec X . end")) == 0
-    assert out_degree(parse("?[end,end].end")) == 3
-    assert out_degree(var("X")) == 0
-    assert out_degree(parse("&{ a: end, b: end }")) == 2
+    assert len(moves(end())) == 1
+    assert len(moves(parse("rec X . end"))) == 1  # its unfolding's moves
+    assert len(moves(parse("?[end,end].end"))) == 3
+    assert len(moves(parse("&{ a: end, b: end }"))) == 2
 
 
 def test_lts_size_bounds_random():
@@ -84,15 +82,6 @@ def test_lts_size_bounds_random():
         lts = build_lts(t)
         assert lts.num_edges <= 2 * size(t) - 1
         assert len(lts.nodes) <= size(t) + 1
-
-
-def test_out_degree_matches_edges(t2):
-    lts = build_lts(t2)
-    for node in lts.nodes:
-        if node is SKIP:
-            assert not lts.adjacency[node]
-        else:
-            assert len(lts.adjacency[node]) == out_degree(unfold(node))
 
 
 def test_unfold_invariance_of_lts(t2):
@@ -106,11 +95,10 @@ def test_unfold_invariance_of_lts(t2):
 
 def test_lts_owns_its_adjacency(t2):
     lts = build_lts(t2)
-    expected = dict(transitions(t2))
+    expected = dict(lts.adjacency[t2])
     lts.adjacency[t2].clear()
     lts.adjacency[t2][act_end] = SKIP
-    assert transitions(t2) == expected
-    assert build_lts(t2).adjacency[t2] == expected
+    assert build_lts(t2).adjacency[t2] == expected == expected_edges(t2)
 
 
 def test_lts_fields_cannot_be_rebound(t2):
@@ -121,14 +109,17 @@ def test_lts_fields_cannot_be_rebound(t2):
         lts.adjacency = {}
 
 
-def test_determinism_property():
+def test_determinism_property(t2):
     # adjacency maps are action-keyed, so determinism holds by construction;
-    # check every node's map agrees with transitions and stays in the LTS
-    t = parse("rec X . +{ a: ?[end].X, b: end }")
-    lts = build_lts(t)
-    for node, succ in lts.adjacency.items():
-        assert succ == transitions(node)
-        assert set(succ.values()) <= lts.nodes
+    # check every node's map against its unfolding, which reads no head
+    # table, and that it stays in the LTS
+    types = [t2, parse("rec X . +{ a: ?[end].X, b: end }")]
+    types += [side for i in range(300) for side in random_pair(i, 40)]
+    for t in types:
+        lts = build_lts(t)
+        for node, succ in lts.adjacency.items():
+            assert succ == expected_edges(node)
+            assert set(succ.values()) <= lts.nodes
 
 
 def test_dot_export(t1):

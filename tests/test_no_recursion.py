@@ -4,15 +4,23 @@ read the source with ``ast``; they catch a function that calls itself by
 name and any change of the interpreter's recursion limit.  Three more
 source checks keep the pair graph to one breadth-first walk, the reports to
 one check path and the node attributes to one build step, one more
-keeps unfolding to the head compile and the allpairs grid, and the last
-keeps ``dataclasses`` out of the package."""
+keeps unfolding to the head compile and the allpairs grid, and one
+keeps ``dataclasses`` out of the package.  The last three keep the public
+surface to what is documented and used: every ``__all__`` equals its list
+in the README's "Public API" section, no module imports a name it never
+uses, and every stcheck name that ``perfbench/`` imports or reads exists,
+since no test here runs the benchmark's worker."""
 
 import ast
+import importlib
 import pathlib
+import re
+import types
 
 import stcheck
 
 SOURCES = sorted(pathlib.Path(stcheck.__file__).parent.glob("*.py"))
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # Self-calls whose depth is bounded by a constant or a parameter, not by
 # the input.
@@ -139,3 +147,86 @@ def test_one_node_builder():
                             for target in ast.walk(node)):
                 setters.add((path.stem, node.name))
     assert setters == {("syntax", "_build")}
+
+
+def readme_api():
+    """Module name -> the names its bullet in the README's "Public API"
+    section lists."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = next(block for block in section.split("\n\n")
+                   if block.startswith("- "))
+    api = {}
+    for bullet in bullets[2:].split("\n- "):
+        module, names = bullet.split(":", 1)
+        api[module.strip("`")] = sorted(re.findall(r"`([^`]+)`", names))
+    return api
+
+
+def test_every_all_is_the_documented_list():
+    # every module with an __all__ has a list, and every list a module
+    api = readme_api()
+    names = ["stcheck"] + [f"stcheck.{p.stem}" for p in SOURCES
+                           if p.stem != "__init__"]
+    assert set(api) == {name for name in names
+                        if hasattr(importlib.import_module(name), "__all__")}
+    for name, listed in api.items():
+        module = importlib.import_module(name)
+        assert sorted(module.__all__) == listed, name
+        assert [n for n in listed if not hasattr(module, n)] == [], name
+
+
+def exported(tree):
+    """The names a module's ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | set(exported(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add((path.stem, name))
+    assert unused == set()
+
+
+def test_perfbench_reads_only_names_that_exist():
+    # perfbench/worker.py runs only in the benchmark: a name it needs that
+    # the package lost would fail every benchmark run and no test
+    missing = []
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}  # local name -> the stcheck module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "stcheck":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    try:  # a name the module binds, else a submodule
+                        value = getattr(module, alias.name) \
+                            if hasattr(module, alias.name) \
+                            else importlib.import_module(
+                                f"{node.module}.{alias.name}")
+                    except ImportError:
+                        missing.append((path.name, node.module, alias.name))
+                        continue
+                    if isinstance(value, types.ModuleType):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules \
+                    and not hasattr(modules[node.value.id], node.attr):
+                missing.append((path.name, node.value.id, node.attr))
+    assert missing == []

@@ -1,8 +1,7 @@
 from stcheck.bench import GenConfig, gen_random
-from stcheck.subterms import canonical_order, sub_bottom_up, sub_pair, sub_top_down
-from stcheck.syntax import (
-    end, free_names, inp, parse, render, select, size, unfold, var,
-)
+from stcheck.lts import SKIP, build_lts
+from stcheck.subterms import sub_bottom_up, sub_pair, sub_top_down
+from stcheck.syntax import end, free_names, inp, parse, select, size, unfold, var
 
 
 def test_sub_bottom_up_atomic():
@@ -57,12 +56,11 @@ def test_subterm_sets_contain_root_and_are_linear():
 
 
 def test_top_down_closed_under_successors():
-    from stcheck.lts import SKIP, transitions
     for seed in range(100):
         t = gen_random(GenConfig(seed=seed, max_size=30))
         subs = sub_top_down(t)
         for u in subs:
-            for succ in transitions(u).values():
+            for succ in build_lts(u).adjacency[u].values():
                 assert succ is SKIP or succ in subs
 
 
@@ -70,12 +68,6 @@ def test_independent_of_bound_names():
     a = parse("rec X . ?[end].X")
     b = parse("rec Loop . ?[end].Loop")
     assert sub_top_down(a) == sub_top_down(b)
-
-
-def test_canonical_order_is_render_sorted(t2):
-    listing = canonical_order(sub_top_down(t2))
-    assert listing == sorted(listing, key=render)
-    assert [render(x) for x in listing] == sorted(render(x) for x in listing)
 
 
 def test_shared_dag_is_walked_once_per_node():

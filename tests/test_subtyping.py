@@ -5,19 +5,19 @@ import time
 
 import pytest
 
+import stcheck
 from helpers import weaken
 from stcheck import cache_sizes, clear_caches, subtyping
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
-from stcheck.errors import NotContractiveError, OpenTypeError
+from stcheck.errors import NotContractiveError, OpenTypeError, StcheckError
 from stcheck.lts import (
     CONT_FIRST, RULE, SKIP, _table, act_end, act_in_cont, act_out_cont,
     in_payload, out_payload, sel_label,
 )
 from stcheck.subtyping import (
     ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, ProductNode,
-    check, equal_coinductive, export_product_dot, is_inconsistent,
-    product_successors, subtype_all_pairs, subtype_inductive,
-    subtype_memoized, subtype_product,
+    check, export_product_dot, is_inconsistent, product_successors,
+    subtype_inductive, subtype_memoized, subtype_product,
 )
 from stcheck.subterms import sub_pair, sub_top_down
 from stcheck.syntax import (
@@ -143,11 +143,18 @@ def test_figure_graph_node_set(t1, t2, t3):
     assert seen == relation_nodes(t1, t2, t3)
 
 
+def all_pairs(t, u):
+    """The relation allpairs decides: every cell of its grid that holds."""
+    universe, holds, _ = subtyping._sweep(t, u, None)
+    return {ProductNode(l, r)
+            for l in universe for r in universe if holds(l, r)}
+
+
 def test_all_pairs_contains_relation(t1, t2, t3):
-    good = subtype_all_pairs(t2, t3)
+    good = all_pairs(t2, t3)
     assert relation_nodes(t1, t2, t3) <= good
-    assert ProductNode(t1, t2) not in subtype_all_pairs(t1, t2)
-    both = subtype_all_pairs(end(), end())
+    assert ProductNode(t1, t2) not in all_pairs(t1, t2)
+    both = all_pairs(end(), end())
     assert ProductNode(end(), end()) in both
     assert ProductNode(SKIP, SKIP) in both
 
@@ -172,7 +179,7 @@ def test_all_pairs_matches_product_on_grid(t2, t3):
     pairs.append((parse("rec X . ?[end].X"),
                   parse("?[end].rec X . ?[end].X")))
     for t, u in pairs:
-        assert subtype_all_pairs(t, u) == _relation_by_product(t, u)
+        assert all_pairs(t, u) == _relation_by_product(t, u)
 
 
 # allpairs (product_nodes, product_edges) on true pairs.  product_edges
@@ -228,7 +235,7 @@ def test_allpairs_refutes_through_a_cell_stepped_before_any_is_doomed(
     rest = sub_pair(t, u) - {t, u}
     monkeypatch.setattr(subtyping, "sub_pair", lambda l, r: [t, u, *rest])
     assert not check(t, u, "allpairs").verdict
-    assert ProductNode(t, u) not in subtype_all_pairs(t, u)
+    assert ProductNode(t, u) not in all_pairs(t, u)
 
 
 def test_allpairs_deadline_overshoot_is_bounded():
@@ -248,6 +255,14 @@ def test_search_deadline_overshoot_is_bounded():
         with pytest.raises(DeadlineExceeded):
             check(left, right, algo, deadline=start + 0.01)
         assert time.perf_counter() - start - 0.01 < 0.5, algo
+
+
+def test_deadline_exceeded_is_a_public_stcheck_error(t2, t3):
+    for algo in ALGORITHMS:
+        with pytest.raises(StcheckError) as exc:
+            check(t2, t3, algo, deadline=time.perf_counter() - 1)
+        assert type(exc.value) is stcheck.DeadlineExceeded is DeadlineExceeded
+        assert str(exc.value), algo
 
 
 # Past every recursion limit the searches ever set (200,000 frames).
@@ -412,9 +427,13 @@ def test_memoized_examples(t1, t2, t3):
 
 
 def test_equal_coinductive(t1, t2):
-    assert equal_coinductive(t1, t1)
-    assert equal_coinductive(t1, unfold(t1))
-    assert not equal_coinductive(t1, t2)
+    # equality is subtyping both ways, as `stcheck equal` decides it
+    def equal(t, u):
+        return check(t, u).verdict and check(u, t).verdict
+
+    assert equal(t1, t1)
+    assert equal(t1, unfold(t1))
+    assert not equal(t1, t2)
 
 
 def test_report_sets_the_counters_a_search_does_not_keep(t1, monkeypatch):

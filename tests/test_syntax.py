@@ -21,9 +21,8 @@ from stcheck.subterms import sub_bottom_up, sub_top_down
 from stcheck.subtyping import check
 from stcheck.syntax import (
     Branch, BoundVar, End, Input, Output, Rec, Select, Var, _children,
-    branch, bvar, end, free_names, inp, is_closed, is_contractive, mu, out,
-    parse, rec, render, select, shift, size, subst_top, substitute, unfold,
-    var,
+    branch, bvar, end, free_names, inp, is_closed, mu, out, parse, rec,
+    render, select, shift, size, subst_top, unfold, var,
 )
 from helpers import T1_TEXT, T2_TEXT
 
@@ -66,9 +65,9 @@ def test_parse_rejects_noncontractive():
 
 
 def test_guarded_recursion_is_contractive():
-    assert is_contractive(parse("rec X . ?[X].X"))
+    assert parse("rec X . ?[X].X").contractive
     # a chain ending at an outer binder is allowed
-    assert is_contractive(parse("rec X . ?[end].rec Y . X"))
+    assert parse("rec X . ?[end].rec Y . X").contractive
 
 
 def test_parse_rejects_duplicate_labels():
@@ -236,7 +235,6 @@ def test_deep_chain_renders_and_reparses():
 def test_deep_chain_name_operations():
     body = chain(var("X"))
     assert within(5.0, free_names, body) == frozenset({"X"})
-    assert within(5.0, substitute, body, "X", end()) is chain(end())
     bound = within(5.0, mu, "X", body)
     assert bound is rec(chain(bvar(0)))
     assert within(5.0, shift, bound.body, 2) is chain(bvar(2))
@@ -349,23 +347,25 @@ def test_is_closed(t3):
 
 
 def test_substitute_examples(t1):
-    assert substitute(var("X"), "X", end()) is end()
-    assert substitute(end(), "X", t1) is end()
+    # unfolding substitutes the binder for its variable in the body
+    assert unfold(mu("X", end())) is end()
     named_body = select([("respond", inp([end()], var("X"))), ("exit", end())])
-    assert substitute(named_body, "X", t1) is unfold(t1)
+    assert mu("X", named_body) is t1
+    assert unfold(mu("X", named_body)) is unfold(t1)
 
 
 def test_substitute_free_name_accounting():
     t = inp([var("X")], out([var("Y")], var("X")))
-    s = parse("rec Z . ?[end].Z")
-    result = substitute(t, "X", s)
-    assert free_names(result) == frozenset({"Y"})
+    bound = mu("X", t)
+    assert free_names(bound) == frozenset({"Y"})
+    assert free_names(unfold(bound)) == frozenset({"Y"})
     assert free_names(t) == frozenset({"X", "Y"})
 
 
 def test_substitute_untargeted_name_is_noop():
     t = inp([var("Y")], end())
-    assert substitute(t, "X", end()) is t
+    assert mu("X", t).body is t
+    assert unfold(mu("X", t)) is t
 
 
 def test_unfold_examples(t1):
