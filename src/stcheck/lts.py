@@ -13,8 +13,8 @@ of one kind with one arity or one label tuple, so one identity test
 matches two heads.  :func:`build_lts` reads the tables in Action order
 and the subtyping searches zip two tables; there is no other encoding of
 a head's moves.  A step compiles a missing table only when the two heads
-have one constructor, which :func:`_head_kind` reads off the binder
-chains without unfolding.
+may have one constructor, which it reads off the nodes' ``_kind``
+without unfolding; ``SKIP``'s is ``Skip``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
-    Branch, BoundVar, End, Input, Output, Rec, Select, TypeExpr, Var,
-    is_closed, render, unfold,
+    Branch, End, Input, Output, Rec, Select, TypeExpr, is_closed, render,
+    unfold,
 )
 
 __all__ = ["SKIP", "Node", "Action", "TypeLts", "build_lts", "lts_to_dot"]
@@ -44,6 +44,7 @@ class Skip:
         return "SKIP"
 
 
+Skip._kind = Skip  # the constructor at its head, as a type node's _kind
 SKIP = Skip()
 
 Node = Union[TypeExpr, Skip]
@@ -142,28 +143,6 @@ def _table(node: Node) -> Table:
         raise OpenTypeError(f"type has free variables: {render(node)}")
     _tables[node] = table
     return table
-
-
-# The classes that are their own unfolded head's constructor: all but the
-# binder and the variables.
-HEAD_KINDS = frozenset((End, Input, Output, Select, Branch, Skip))
-
-
-def _head_kind(node: Node) -> Optional[type]:
-    """The constructor of *node*'s unfolded head, read off its binder chain
-    without unfolding or compiling: on a contractive type, unfolding only
-    substitutes at variable leaves, so the first node under the binders
-    has the head's constructor.  ``None`` when only :func:`_table` can
-    tell, and so raise: *node* is a binder that is not contractive, or its
-    chain ends in a variable."""
-    kind = type(node)
-    if kind is Rec:
-        if not node.contractive:
-            return None
-        while kind is Rec:
-            node = node.body
-            kind = type(node)
-    return None if kind is Var or kind is BoundVar else kind
 
 
 def _share_actions(kind: type, key):

@@ -43,8 +43,8 @@ A step reads the two heads' tables, which :mod:`stcheck.lts` compiles
 once per unfolded head, so it costs two lookups, not two unfoldings, and
 it zips the two tables' successors.  A table is compiled on the first
 step that is not refuted by its constructors: while either table is
-missing, two heads of different constructors, read off their binder
-chains, are refuted before either side is unfolded or compiled.
+missing, two heads of different constructors, read off the nodes'
+``_kind``, are refuted before either side is unfolded or compiled.
 
 The searches visit the moves in two orders, and both are kept because the
 counters they produce are pinned by the tests and the benchmark.  Each
@@ -69,8 +69,8 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 from . import lts
 from .errors import DeadlineExceeded
 from .lts import (
-    CONT_FIRST, HEAD_KINDS, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
-    _head_kind, _node_label, _require_closed, _table,
+    CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot, _node_label,
+    _require_closed, _table,
 )
 from .subterms import sub_pair
 from .syntax import Branch, Output, Select, TypeExpr, unfold
@@ -118,15 +118,10 @@ def _step(left: Node, right: Node, order: int = RULE):
     b = _tables.get(right)
     if not (a and b):
         # A cold pair is refuted on its heads' constructors before either
-        # side is unfolded or compiled.  Only a binder or a variable is not
-        # its own head's constructor.
-        ka = a[0] if a else type(left)
-        if ka not in HEAD_KINDS:
-            ka = _head_kind(left)
-        kb = b[0] if b else type(right)
-        if kb not in HEAD_KINDS:
-            kb = _head_kind(right)
-        if ka is not kb and ka is not None and kb is not None:
+        # side is unfolded or compiled.  A _kind that is not a class (an
+        # index or None) is left to _table, which raises on it.
+        ka, kb = left._kind, right._kind
+        if ka is not kb and type(ka) is type is type(kb):
             return None
         a = a or _table(left)
         b = _tables.get(right) or _table(right)  # left may have compiled it

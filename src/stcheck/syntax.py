@@ -8,8 +8,9 @@ equality/hashing are identity-based and O(1).
 
 Every node, of every kind, is made by one build step, ``_build(key)``: it
 sets the node's fields from its interning key, works out ``size``,
-``cutoff``, ``has_fvar``, ``contractive`` and ``_chain`` from the
-children, and interns the node.  Library callers construct through the
+``cutoff``, ``has_fvar``, ``contractive`` and ``_kind`` (the constructor
+at the unfolded head; see :class:`TypeExpr`) in O(1) from the children,
+and interns the node.  Library callers construct through the
 factory functions (``end``, ``var``, ``bvar``, ``rec``, ``mu``, ``inp``,
 ``out``, ``select``, ``branch``), which look the key up and validate their
 arguments only on a miss, before the build (a key that cannot be hashed,
@@ -82,9 +83,17 @@ class TypeExpr:
     ``contractive``
         whether every recursion binder is separated from its bound
         occurrences by at least one communication constructor.
+    ``_kind``
+        the constructor at the head once the binders are unfolded: a
+        communication node's or ``End``'s own class, and a ``Rec``'s
+        body's, since unfolding a contractive binder substitutes only at
+        variable leaves.  An int ``i`` when the head is the de Bruijn
+        index ``i`` seen from this node (a ``BoundVar``, or binders over
+        one that points past them); ``None`` when unfolding would raise
+        instead (a ``Var``, or a binder that is not contractive).
     """
 
-    __slots__ = ("size", "cutoff", "has_fvar", "contractive", "_chain")
+    __slots__ = ("size", "cutoff", "has_fvar", "contractive", "_kind")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {render(self)!r}>"
@@ -138,12 +147,18 @@ def end() -> End:
     return _interned.get(_END_KEY) or _build(_END_KEY)
 
 
+def _lookup(key: tuple):
+    """The node interned under *key*, or ``None``: also when *key* cannot
+    be hashed, so that the factory's checks reject the argument."""
+    try:
+        return _interned.get(key)
+    except TypeError:
+        return None
+
+
 def var(name: str) -> Var:
     key = (Var, name)
-    try:
-        node = _interned.get(key)
-    except TypeError:  # an unhashable argument, rejected below
-        node = None
+    node = _lookup(key)
     if node is not None:
         return node
     if not isinstance(name, str) or not _VAR_RE.match(name):
@@ -153,10 +168,7 @@ def var(name: str) -> Var:
 
 def bvar(index: int) -> BoundVar:
     key = (BoundVar, index)
-    try:
-        node = _interned.get(key)
-    except TypeError:  # an unhashable argument, rejected below
-        node = None
+    node = _lookup(key)
     if node is not None:
         return node
     # 1.0 and True are equal to 1 as keys: only an int may be interned
@@ -168,10 +180,7 @@ def bvar(index: int) -> BoundVar:
 def rec(body: TypeExpr) -> Rec:
     """Nameless recursion binder; ``bvar(0)`` in *body* refers to it."""
     key = (Rec, body)
-    try:
-        node = _interned.get(key)
-    except TypeError:  # an unhashable argument, rejected below
-        node = None
+    node = _lookup(key)
     if node is not None:
         return node
     _require_types((body,))
@@ -187,10 +196,7 @@ def mu(name: str, body: TypeExpr) -> Rec:
 def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
     payloads = tuple(payloads)
     key = (cls, payloads, cont)
-    try:
-        node = _interned.get(key)
-    except TypeError:  # an unhashable argument, rejected below
-        node = None
+    node = _lookup(key)
     if node is not None:
         return node
     if not payloads:
@@ -245,7 +251,7 @@ def _build(key: tuple):
     cont)`` or ``(cls, items in label order)``, whose factory checks hold."""
     cls = key[0]
     node = cls()
-    size, cutoff, has_fvar, contractive, chain = 1, 0, False, True, None
+    size, cutoff, has_fvar, contractive, kind = 1, 0, False, True, cls
     if len(key) == 3:
         _, node.payloads, node.cont = key
     elif cls is Select or cls is Branch:
@@ -253,13 +259,11 @@ def _build(key: tuple):
     elif cls is Rec:
         node.body = key[1]
     elif cls is BoundVar:
-        node.index = index = key[1]
-        cutoff = index + 1
-        # (number of Recs wrapped so far, index at the chain's end)
-        chain = (0, index)
+        node.index = kind = key[1]
+        cutoff = kind + 1
     elif cls is Var:
         node.name = key[1]
-        has_fvar = True
+        has_fvar, kind = True, None
     for kid in _children(node):
         size += kid.size
         if kid.cutoff > cutoff:
@@ -268,17 +272,19 @@ def _build(key: tuple):
         contractive = contractive and kid.contractive
     if cls is Rec:
         cutoff = max(0, cutoff - 1)
-        if node.body._chain is not None:
-            wrapped, index = node.body._chain
-            # Rec^{wrapped+1}(BoundVar(index)) cycles iff the index points
-            # at one of the binders of this very chain.
-            contractive = contractive and index > wrapped
-            chain = (wrapped + 1, index)
+        kind = node.body._kind
+        if type(kind) is int:
+            # the binder chain ends in an index: index 0 is this binder, a
+            # cycle; any other points one binder further out from here
+            contractive = contractive and kind > 0
+            kind -= 1
+        if not contractive:
+            kind = None
     node.size = size
     node.cutoff = cutoff
     node.has_fvar = has_fvar
     node.contractive = contractive
-    node._chain = chain
+    node._kind = kind
     return _interned.setdefault(key, node)
 
 

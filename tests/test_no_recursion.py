@@ -4,8 +4,9 @@ read the source with ``ast``; they catch a function that calls itself by
 name and any change of the interpreter's recursion limit.  Three more
 source checks keep the pair graph to one breadth-first walk, the reports to
 one check path and the node attributes to one build step, one more
-keeps unfolding to the head compile and the allpairs grid, and one
-keeps ``dataclasses`` out of the package.  The last three keep the public
+keeps unfolding to the head compile and the allpairs grid, one keeps
+binder bodies to the syntax and the subterm sets, and one keeps
+``dataclasses`` out of the package.  The last three keep the public
 surface to what is documented and used: every ``__all__`` equals its list
 in the README's "Public API" section, no module imports a name it never
 uses, and every stcheck name that ``perfbench/`` imports or reads exists,
@@ -130,7 +131,7 @@ def test_no_module_imports_dataclasses():
     assert importers == set()
 
 
-NODE_ATTRIBUTES = {"size", "cutoff", "has_fvar", "contractive", "_chain"}
+NODE_ATTRIBUTES = {"size", "cutoff", "has_fvar", "contractive", "_kind"}
 
 
 def test_one_node_builder():
@@ -147,6 +148,18 @@ def test_one_node_builder():
                             for target in ast.walk(node)):
                 setters.add((path.stem, node.name))
     assert setters == {("syntax", "_build")}
+
+
+def test_binder_bodies_read_only_by_syntax_and_subterms():
+    # a node's head constructor is its _kind, set by syntax._build from its
+    # children: no other module walks a chain of binders to find it again
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "body"
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(tree)):
+            readers.add(path.stem)
+    assert readers == {"syntax", "subterms"}
 
 
 def readme_api():

@@ -460,9 +460,10 @@ def test_open_types_rejected(t1):
             check(var("X"), t1, algo)
         with pytest.raises(OpenTypeError):
             check(t1, inp([var("X")], end()), algo)
-    # a free variable at a head has no table to step, even facing a head
-    # it could be refuted against
-    for pair in ((var("X"), var("X")), (var("X"), end()), (end(), var("X"))):
+    # a free variable at a head, named or an index dangling under binders,
+    # has no table to step, even facing a head it could be refuted against
+    for pair in ((var("X"), var("X")), (var("X"), end()), (end(), var("X")),
+                 (rec(bvar(1)), end()), (end(), rec(var("X")))):
         with pytest.raises(OpenTypeError):
             is_inconsistent(ProductNode(*pair))
 
@@ -471,11 +472,15 @@ def test_non_contractive_head_raises_before_refutation():
     # the head is an input, but unfolding it must raise: a cold pair is
     # refuted on the constructors only when both sides are contractive
     t = rec(inp([rec(bvar(0))], bvar(0)))
-    for algo in ALGORITHMS:
-        with pytest.raises(NotContractiveError):
-            check(t, end(), algo)
-        with pytest.raises(NotContractiveError):
-            check(end(), t, algo)
+    # a closed chain of binders whose index points back into the chain
+    cycle = rec(rec(bvar(1)))
+    for left, right in ((t, end()), (cycle, end()),
+                        (cycle, inp([end()], end()))):
+        for algo in ALGORITHMS:
+            with pytest.raises(NotContractiveError):
+                check(left, right, algo)
+            with pytest.raises(NotContractiveError):
+                check(right, left, algo)
 
 
 def stepped(left, right, order):
@@ -499,6 +504,9 @@ def test_cold_step_matches_warm_step():
         clear_caches()
         for node in universe:
             _table(node)
+        # the constructor the cold step read off a node is its table's
+        for node in universe:
+            assert node._kind is _table(node)[0], node
         compiled = cache_sizes()["head_tables"]
         for (left, right, order), moves in cold.items():
             assert stepped(left, right, order) == moves, (left, right, order)

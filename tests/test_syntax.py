@@ -433,7 +433,7 @@ def relabelled(t, suffix):
 
 
 def recomputed(t):
-    """(size, cutoff, has_fvar, contractive, _chain) of *t* from their
+    """(size, cutoff, has_fvar, contractive, _kind) of *t* from their
     definitions, over ``_children`` and without reading an attribute."""
     kids = [recomputed(k) for k in _children(t)]
     cls = type(t)
@@ -446,16 +446,22 @@ def recomputed(t):
         cutoff = max([k[1] for k in kids], default=0)
     has_fvar = cls is Var or any(k[2] for k in kids)
     contractive = all(k[3] for k in kids)
-    chain = (0, t.index) if cls is BoundVar else None
+    kind = t.index if cls is BoundVar else None if cls is Var else cls
     if cls is Rec:
-        # Rec^m(u), u not a Rec: a cycle iff u is one of these m binders
+        # Rec^m(u), u not a Rec: a cycle iff u is one of these m binders;
+        # unfolding substitutes at the leaves, so u's constructor is the head
         m, u = 0, t
         while type(u) is Rec:
             m, u = m + 1, u.body
         if type(u) is BoundVar:
-            chain = (m, u.index)
             contractive = contractive and u.index >= m
-    return size, cutoff, has_fvar, contractive, chain
+        if not contractive or type(u) is Var:
+            kind = None
+        elif type(u) is BoundVar:
+            kind = u.index - m
+        else:
+            kind = type(u)
+    return size, cutoff, has_fvar, contractive, kind
 
 
 def random_types(n=2000):
@@ -484,7 +490,7 @@ def test_parse_misses_build_the_factory_node_and_attributes():
         while todo:
             v = todo.pop()
             assert (v.size, v.cutoff, v.has_fvar, v.contractive,
-                    v._chain) == recomputed(v), render(v)
+                    v._kind) == recomputed(v), render(v)
             todo.extend(_children(v))
         misses += u is not t
         assert render(u).replace(suffix, "") == render(t)
@@ -512,7 +518,7 @@ def test_rewrite_misses_build_the_factory_node_and_attributes():
         rebuilt += stcheck.cache_sizes()["interned"] - before
         for v in subterms:
             assert (v.size, v.cutoff, v.has_fvar, v.contractive,
-                    v._chain) == recomputed(v), render(v)
+                    v._kind) == recomputed(v), render(v)
         assert unfolded is relabelled(unfold(t), suffix)
         assert subterms == {relabelled(v, suffix) for v in sub_top_down(t)}
     assert rebuilt > 2000
