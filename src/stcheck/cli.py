@@ -126,16 +126,9 @@ def cmd_bench(args) -> int:
     kmax = bench.DEFAULT_KMAX_INDUCTIVE if args.kmax is None else args.kmax
     if kmax < 1:
         raise StcheckError(f"--kmax must be at least 1, got {kmax}")
-    records = []
-    for algo in algorithms:
-        top = kmax
-        if algo == "inductive" and args.family == "exp":
-            top = min(kmax, bench.DEFAULT_KMAX_INDUCTIVE)
-        records.extend(bench.run_bench(
-            [args.family], range(1, top + 1), [algo], timeout=timeout))
-    records.sort(key=lambda r: (r.family, r.k, r.algorithm))
+    rows = bench.run_bench(args.family, kmax, algorithms, timeout=timeout)
     text = io.StringIO()
-    bench.write_csv(records, text)
+    bench.write_csv(rows, text)
     _emit(text.getvalue(), args.csv)
     return EXIT_OK
 

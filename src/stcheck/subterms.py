@@ -8,7 +8,7 @@ recognised as already-interned values.
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import Dict, FrozenSet, KeysView
 
 from .syntax import Rec, TypeExpr, _children, subst_top
 
@@ -42,22 +42,30 @@ def sub_bottom_up(t: TypeExpr) -> FrozenSet[TypeExpr]:
     return frozenset(acc)
 
 
-def sub_top_down(t: TypeExpr) -> FrozenSet[TypeExpr]:
-    """Least set containing *t* and closed under the unfolding-style
-    subterm equations."""
-    seen = set()
-    stack = [t]
+def _top_down(*roots: TypeExpr) -> Dict[TypeExpr, None]:
+    """The top-down subterms of *roots* in depth-first walk order: the
+    first root's walk, then the members each later root's walk adds."""
+    seen: Dict[TypeExpr, None] = {}
+    stack = list(reversed(roots))
     while stack:
         u = stack.pop()
         if u in seen:
             continue
-        seen.add(u)
+        seen[u] = None
         if type(u) is Rec:
             stack.append(subst_top(u.body, u))
         else:
             stack.extend(_children(u))
-    return frozenset(seen)
+    return seen
 
 
-def sub_pair(t: TypeExpr, u: TypeExpr) -> FrozenSet[TypeExpr]:
-    return sub_top_down(t) | sub_top_down(u)
+def sub_top_down(t: TypeExpr) -> FrozenSet[TypeExpr]:
+    """Least set containing *t* and closed under the unfolding-style
+    subterm equations."""
+    return frozenset(_top_down(t))
+
+
+def sub_pair(t: TypeExpr, u: TypeExpr) -> KeysView[TypeExpr]:
+    """The union of both top-down subterm sets, in walk order, so that the
+    allpairs grid built on it does not hang on object addresses."""
+    return _top_down(t, u).keys()

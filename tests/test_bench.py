@@ -107,47 +107,63 @@ def test_fit_quadratic_rejects_mismatch():
         fit_quadratic([1, 2], [1.0])
 
 
+def records(rows):
+    """Each row as a dict keyed by the CSV columns."""
+    return [dict(zip(CSV_COLUMNS, row)) for row in rows]
+
+
 def test_run_bench_cardinality():
-    records = run_bench(["exp"], range(1, 4), ("product", "memoized"))
-    assert len(records) == 6
-    assert {r.k for r in records} == {1, 2, 3}
-    assert all(r.family == "exp" for r in records)
-    assert all(r.verdict for r in records)
-    assert not any(r.timed_out for r in records)
+    rows = records(run_bench("exp", 3, ("product", "memoized")))
+    assert len(rows) == 6
+    # by k, then by algorithm name
+    assert [(r["k"], r["algorithm"]) for r in rows] == [
+        (k, algo) for k in (1, 2, 3) for algo in ("memoized", "product")]
+    assert all(r["family"] == "exp" for r in rows)
+    assert all(r["verdict"] == 1 for r in rows)
+    assert not any(r["timed_out"] for r in rows)
+
+
+def test_run_bench_caps_inductive_on_exp():
+    top = DEFAULT_KMAX_INDUCTIVE + 1
+    rows = records(run_bench("exp", top, ("inductive", "product")))
+    assert [r["k"] for r in rows if r["algorithm"] == "inductive"] \
+        == list(range(1, top))
+    assert [r["k"] for r in rows if r["algorithm"] == "product"] \
+        == list(range(1, top + 1))
+    # the cap is the exp family's: random runs inductive to kmax
+    rows = records(run_bench("random", top, ("inductive",)))
+    assert [r["k"] for r in rows] == list(range(1, top + 1))
 
 
 def test_run_bench_validates():
     with pytest.raises(ValueError):
-        run_bench(["nope"], range(1, 3), ("product",))
+        run_bench("nope", 2, ("product",))
     with pytest.raises(ValueError):
-        run_bench(["exp"], range(1, 3), ("bogus",))
+        run_bench("exp", 2, ("bogus",))
     with pytest.raises(ValueError):
-        run_bench(["exp"], [], ("product",))
+        run_bench("exp", 0, ("product",))
 
 
 def test_run_bench_timeout_marks_row():
-    records = run_bench(["exp"], range(1, 9), ("inductive",), timeout=1e-9)
-    assert any(r.timed_out for r in records)
-    for r in records:
-        if r.timed_out:
-            assert not r.verdict
+    rows = records(run_bench("exp", 8, ("inductive",), timeout=1e-9))
+    assert any(r["timed_out"] for r in rows)
+    for r in rows:
+        if r["timed_out"]:
+            assert r["timed_out"] == 1
+            assert r["verdict"] == 0
+            assert [r[key] for key in CSV_COLUMNS[6:10]] == [0] * 4
 
 
 def test_csv_roundtrip(tmp_path):
-    records = run_bench(["exp"], range(1, 4), ("product",))
+    rows = run_bench("exp", 3, ("product",))
+    assert all(len(row) == len(CSV_COLUMNS) for row in rows)
     path = tmp_path / "bench.csv"
     with open(path, "w", newline="") as fh:
-        write_csv(records, fh)
+        write_csv(rows, fh)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == CSV_COLUMNS
-    counters = CSV_COLUMNS[6:10]
-    assert rows[1:] == [
-        [str(v) for v in (r.family, r.k, r.size_left, r.size_right,
-                          r.algorithm, int(r.verdict),
-                          *(r.counters[key] for key in counters),
-                          r.elapsed_ns, int(r.timed_out))]
-        for r in records]
+        read = list(csv.reader(fh))
+    assert tuple(read[0]) == CSV_COLUMNS
+    assert read[1:] == [[str(v) for v in row] for row in rows]
 
 
 def test_inductive_cap_constant():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -162,6 +163,30 @@ def test_bench_families_are_the_harness_families(capsys):
     assert main(["bench", "--family", "exp", "--algos", "product"]) == EXIT_OK
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 1 + bench.DEFAULT_KMAX_INDUCTIVE
+
+
+# SHA-256 of `stcheck bench` output with its elapsed_ns column removed.  The
+# last run passes the inductive cap on exp and names inductive twice.
+BENCH_DIGESTS = {
+    "--family exp --kmax 6":
+        "827708ba3c204526d6ebe9680ade9a296151f2458e1be170fab9214e57992e20",
+    "--family random --kmax 6":
+        "aa1ee2b8a5a038351fbe9aa71ef3be926393e7bb4981f9fa12b36b189acb591b",
+    "--family exp --kmax 14 --algos inductive,product,inductive":
+        "e67d946f8dfddec900a7c63b7d11775dc83c495b16fb636fb90bdad58d16dc01",
+}
+
+
+@pytest.mark.parametrize("args", list(BENCH_DIGESTS))
+def test_bench_output_is_pinned(args, monkeypatch, capsys):
+    monkeypatch.delenv("STCHECK_TIMEOUT_MS", raising=False)
+    assert main(["bench", *args.split()]) == EXIT_OK
+    elapsed = CSV_COLUMNS.index("elapsed_ns")
+    kept = "".join(
+        ",".join(field for i, field in enumerate(line.split(","))
+                 if i != elapsed) + "\n"
+        for line in capsys.readouterr().out.splitlines())
+    assert hashlib.sha256(kept.encode()).hexdigest() == BENCH_DIGESTS[args]
 
 
 def test_bench_kmax_below_one(capsys):

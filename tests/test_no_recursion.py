@@ -4,7 +4,8 @@ read the source with ``ast``; they catch a function that calls itself by
 name and any change of the interpreter's recursion limit.  Three more
 source checks keep the pair graph to one breadth-first walk, the reports to
 one check path and the node attributes to one build step, one more
-keeps unfolding to the head compile and the allpairs grid, one keeps
+keeps unfolding to the head compile and the allpairs grid, one keeps the
+rows of ``stcheck bench`` to one loop in the harness, one keeps
 binder bodies to the syntax and the subterm sets, and one keeps
 ``dataclasses`` out of the package.  The last three keep the public
 surface to what is documented and used: every ``__all__`` equals its list
@@ -109,6 +110,18 @@ def test_one_unfolding_site_per_use():
     # grid by unfolded heads; no search unfolds a head outside the compile,
     # so a pair refuted on its constructors unfolds nothing
     assert callers("unfold") == [("lts", "_table"), ("subtyping", "_sweep")]
+
+
+def test_one_bench_loop():
+    # bench.run_bench owns the rows of `stcheck bench`, their order and the
+    # inductive cap: cmd_bench checks its input and calls it once, so
+    # neither the order nor the cap can drift back into the command line
+    assert callers("run_bench") == [("cli", "cmd_bench")]
+    cli = ast.parse(next(p for p in SOURCES if p.stem == "cli").read_text())
+    cmd_bench = next(node for node in ast.walk(cli)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "cmd_bench")
+    assert {"sort", "sorted", "min"}.isdisjoint(calls(cmd_bench))
 
 
 def imported_modules(tree):

@@ -1,5 +1,8 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -206,6 +209,31 @@ def test_allpairs_counters_on_true_pairs():
                   if subtype_product(*p).verdict}
     assert {i: counters(*p) for i, p in true_pairs.items()} \
         == ALLPAIRS_COUNTERS_ON_TRUE_RANDOM_PAIRS
+
+
+def sub_pair_listings(prelude):
+    """The rendered members of sub_pair, in its order, on 100 random pairs,
+    from a fresh interpreter that runs *prelude* first."""
+    src = os.path.dirname(os.path.dirname(stcheck.__file__))
+    code = (f"{prelude}\n"
+            "import json\n"
+            "from stcheck.bench import random_pair\n"
+            "from stcheck.subterms import sub_pair\n"
+            "from stcheck.syntax import render\n"
+            "pairs = [random_pair(i, 40) for i in range(100)]\n"
+            "listings = [list(map(render, sub_pair(*p))) for p in pairs]\n"
+            "print(json.dumps(listings))\n")
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True).stdout)
+
+
+def test_sub_pair_order_does_not_hang_on_object_addresses():
+    # the allpairs grid is laid out in this order, and with it which cells
+    # are stepped twice: throwaway objects allocated first shift every
+    # node's address, and must not change the order
+    assert sub_pair_listings("") \
+        == sub_pair_listings("junk = [[n] * (n % 7) for n in range(50000)]")
 
 
 def test_allpairs_builds_no_predecessor_lists_without_a_doomed_cell():
