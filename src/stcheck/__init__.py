@@ -36,11 +36,10 @@ __version__ = "0.1.0"
 
 def cache_sizes() -> dict:
     """Entries in each module-level cache: the interned types, the
-    unfolded heads, the compiled head tables and the shared action
-    tuples."""
+    compiled head tables (one per node whose head was compiled) and the
+    shared action tuples."""
     return {
         "interned": len(_syntax._interned),
-        "unfold": len(_syntax._unfold_cache),
         "head_tables": len(_lts._tables),
         "action_tuples": len(_lts._action_tuples),
     }
@@ -57,6 +56,5 @@ def clear_caches() -> None:
     after the clear does not share its action tuple with one compiled
     before it.
     """
-    _syntax._unfold_cache.clear()
     _lts._tables.clear()
     _lts._action_tuples.clear()

@@ -3,18 +3,19 @@
 Nodes are (top-down) subterms plus the distinguished terminal ``SKIP``;
 actions mark termination, payloads, continuations and choice labels.
 
-Each unfolded head is compiled once, on first use, into a table: its
-kind, its payload arity or label tuple, and its actions and successors in
-two orders, rule order (``RULE``: payloads before the continuation) and
-:class:`Action` order (``CONT_FIRST``: the continuation first).  Every
-node maps to its head's table, so a type and its unfolding share one and
-have identical outgoing edges.  The action tuples are shared by all heads
-of one kind with one arity or one label tuple, so one identity test
-matches two heads.  :func:`build_lts` reads the tables in Action order
-and the subtyping searches zip two tables; there is no other encoding of
-a head's moves.  A step compiles a missing table only when the two heads
-may have one constructor, which it reads off the nodes' ``_kind``
-without unfolding; ``SKIP``'s is ``Skip``.
+Each unfolded head is compiled once, on first use, into a table: its kind,
+its payload arity or label tuple, its actions and successors in two
+orders, rule order (``RULE``: payloads before the continuation) and
+:class:`Action` order (``CONT_FIRST``: the continuation first), and the
+head (``HEAD``).  Every node maps to its head's table, as does every
+binder stripped on the way, so a type and its unfoldings share one: the
+tables are the one map from a node to its head.  The action tuples are
+shared by all heads of one kind with one arity or one label tuple, so one
+identity test matches two heads.  :func:`build_lts` reads the tables in
+Action order and the subtyping searches zip two tables; there is no other
+encoding of a head's moves.  A step compiles a missing table only when the
+two heads may have one constructor, which it reads off the nodes'
+``_kind`` without unfolding; ``SKIP``'s is ``Skip``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
-    Branch, End, Input, Output, Rec, Select, TypeExpr, is_closed, render,
-    unfold,
+    Branch, End, Input, Output, Rec, Select, TypeExpr, _unfold_once,
+    is_closed, render,
 )
 
 __all__ = ["SKIP", "Node", "Action", "TypeLts", "build_lts", "lts_to_dot"]
@@ -98,15 +99,16 @@ def action_name(a: Action) -> str:
 
 
 # A compiled head: (kind, arity or label tuple, actions and successors in
-# rule order, actions and successors in Action order).
+# rule order, actions and successors in Action order, the head).
 Table = Tuple[type, object, Tuple[Action, ...], Tuple[Node, ...],
-              Tuple[Action, ...], Tuple[Node, ...]]
+              Tuple[Action, ...], Tuple[Node, ...], Node]
 
 # Index of an order's action tuple in a table; its successors follow.
 RULE = 2
 CONT_FIRST = 4
+HEAD = 6  # index of the unfolded head
 
-# Each compiled node's head table: a binder and its unfolding share one.
+# Each compiled node's head table: a binder and its unfoldings share one.
 _tables: Dict[Node, Table] = {}
 # (kind, arity or label tuple) -> (rule-order actions, Action-order
 # actions, the key): two heads with the same action tuple, by identity,
@@ -114,34 +116,38 @@ _tables: Dict[Node, Table] = {}
 _action_tuples: Dict[tuple, tuple] = {}
 
 _END_ACTS = (act_end,)
-_END_TABLE: Table = (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,))
-_SKIP_TABLE: Table = (Skip, None, (), (), (), ())
 
 
 def _table(node: Node) -> Table:
-    """Compile the unfolded head of *node* and map *node* to its table."""
+    """Compile the unfolded head of *node*, stripping binders one at a time
+    up to a node that has a table, and map each node on the way to it."""
+    stripped = []
+    while type(node) is Rec and node not in _tables:
+        stripped.append(node)
+        node = _unfold_once(node)
     kind = type(node)
-    if kind is Rec:
-        head = unfold(node)
-        table = _tables.get(head) or _table(head)
+    if node in _tables:
+        table = _tables[node]
     elif kind is Input or kind is Output:
         payloads = node.payloads
         arity = len(payloads)
         acts = _action_tuples.get((kind, arity)) or _share_actions(kind, arity)
         table = (kind, arity, acts[0], payloads + (node.cont,),
-                 acts[1], (node.cont,) + payloads)
+                 acts[1], (node.cont,) + payloads, node)
     elif kind is Branch or kind is Select:
         labels, succ = zip(*node.branches)
         acts, _, labels = (_action_tuples.get((kind, labels))
                            or _share_actions(kind, labels))
-        table = (kind, labels, acts, succ, acts, succ)
+        table = (kind, labels, acts, succ, acts, succ, node)
     elif kind is End:
-        table = _END_TABLE
+        table = (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,), node)
     elif kind is Skip:
-        table = _SKIP_TABLE
+        table = (Skip, None, (), (), (), (), node)
     else:
         raise OpenTypeError(f"type has free variables: {render(node)}")
     _tables[node] = table
+    for binder in stripped:
+        _tables[binder] = table
     return table
 
 
@@ -161,11 +167,14 @@ def _share_actions(kind: type, key):
     return _action_tuples.setdefault((kind, key), acts)
 
 
-def _require_closed(t: Node, u: Node = SKIP) -> None:
-    """Raise :class:`OpenTypeError` on the first of *t* and *u* with free
-    variables."""
+def _require_closed(t: TypeExpr, u: TypeExpr) -> None:
+    """Raise on the first of *t* and *u* that is not a closed type:
+    ``ValueError`` if it is not a type (``SKIP`` is none), else
+    :class:`OpenTypeError`."""
     for node in (t, u):
-        if node is not SKIP and not is_closed(node):
+        if not isinstance(node, TypeExpr):
+            raise ValueError(f"not a type: {node!r}")
+        if not is_closed(node):
             raise OpenTypeError(f"type has free variables: {render(node)}")
 
 
@@ -188,10 +197,10 @@ def build_lts(t: TypeExpr) -> TypeLts:
     """The reachable part of the LTS from *t*: each node's outgoing edges
     as an action-keyed map (the LTS is deterministic), read from its head's
     table in :class:`Action` order; a new dict per node and per call.
-    Raises :class:`OpenTypeError` on a type with free variables; only the
-    root is tested, since every node reachable from a closed root is
-    closed."""
-    _require_closed(t)
+    Raises ``ValueError`` on an argument that is not a type and
+    :class:`OpenTypeError` on a type with free variables; only the root is
+    tested, since every node reachable from a closed root is closed."""
+    _require_closed(t, t)
     adjacency: Dict[Node, Dict[Action, Node]] = {}
     queue = [t]
     while queue:

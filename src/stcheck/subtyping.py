@@ -69,11 +69,11 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 from . import lts
 from .errors import DeadlineExceeded
 from .lts import (
-    CONT_FIRST, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot, _node_label,
-    _require_closed, _table,
+    CONT_FIRST, HEAD, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
+    _node_label, _require_closed, _table,
 )
 from .subterms import sub_pair
-from .syntax import Branch, Output, Select, TypeExpr, unfold
+from .syntax import Branch, Output, Select, TypeExpr
 
 __all__ = [
     "ALGORITHMS", "COUNTER_KEYS", "SubtypeReport", "DeadlineExceeded",
@@ -211,25 +211,22 @@ def _product(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
 def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     """The grid over the joint subterm universe plus the terminal and the
     backward closure of its inconsistent pairs, kept on distinct unfolded
-    heads: only pairs of heads with one constructor are stepped.  Returns
-    the universe, the test ``holds(l, r)`` on its members and the moves
-    summed over every universe cell (a head pair's moves times the
-    multiplicities of its two heads).
+    heads (``HEAD`` in each member's table): only pairs of heads with one
+    constructor are stepped.  Returns the universe, the test ``holds(l, r)``
+    on its members and the moves summed over every universe cell (a head
+    pair's moves times the multiplicities of its two heads).
 
     Predecessor lists are kept only from the first doomed cell on, in
     grid order: before it there is nothing to propagate.  If the grid has
     a doomed cell, the cells before the first one are stepped again, once,
     to record their edges; if it has none, no list is built at all."""
     universe = list(sub_pair(t, u)) + [SKIP]
-    head = {v: unfold(v) for v in universe}
+    # every member's table is compiled here: no grid step is a cold one
+    head = {v: (_tables.get(v) or _table(v))[HEAD] for v in universe}
     count = Counter(head.values())
     groups: Dict[type, List[Node]] = {}
     for a in count:
         groups.setdefault(type(a), []).append(a)
-        # every head is stepped against itself: compiled here, it leaves
-        # no step of the grid to the cold path of _step
-        if a not in _tables:
-            _table(a)
     doomed: Set[Tuple[Node, Node]] = set()
     reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
     edges = 0

@@ -29,8 +29,10 @@ bounded by memory, not by the recursion limit.  ``mu``, ``shift`` and
 rebuilds the rest bottom-up through ``_rebuild`` and keeps every subtree
 the operation cannot change: one whose dangling indices all lie below the
 current binder depth for the index operations, one without named
-variables for ``mu``.  ``free_names``, ``render`` and
-the subterm sets of :mod:`stcheck.subterms` are loops over the same listing.
+variables for ``mu``.  ``free_names``, ``render`` and the subterm sets of
+:mod:`stcheck.subterms` are loops over the same listing.  ``unfold`` is a
+loop over ``_unfold_once`` and caches nothing: the head tables of
+:mod:`stcheck.lts` strip binders with the same step and keep each head.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def rec(body: TypeExpr) -> Rec:
 
 def mu(name: str, body: TypeExpr) -> Rec:
     """Named recursion: binds free occurrences of ``var(name)`` in *body*."""
-    return rec(_rewrite(body, 0, Var,
+    return rec(_rewrite(body, Var,
                         lambda u, d: bvar(d) if u.name == name else u))
 
 
@@ -330,14 +332,15 @@ def _rebuild(t: TypeExpr, kids: list) -> TypeExpr:
     return _interned.get(key) or _build(key)
 
 
-def _rewrite(t: TypeExpr, depth: int, cls: type, leaf) -> TypeExpr:
-    """Rebuild *t*, which sits under *depth* binders, bottom-up.
+def _rewrite(t: TypeExpr, cls: type, leaf) -> TypeExpr:
+    """Rebuild *t* bottom-up.
 
     A leaf ``u`` of class *cls* (``BoundVar`` or ``Var``) at binder depth
-    ``d`` becomes ``leaf(u, d)``.  A subtree without such a leaf to change
-    (no index >= ``d``, or no named variable) is kept as it is.
+    ``d`` within *t* becomes ``leaf(u, d)``.  A subtree without such a leaf
+    to change (no index >= ``d``, or no named variable) is kept as it is.
     """
     indices = cls is BoundVar
+    depth = 0
     done = []    # rebuilt subtrees, in listing order
     todo = [t]   # nodes to enter, or (node, child count, depth) to rebuild
     while todo:
@@ -376,44 +379,36 @@ def free_names(t: TypeExpr) -> frozenset:
     return frozenset(names)
 
 
-def shift(t: TypeExpr, by: int, floor: int = 0) -> TypeExpr:
-    """Add *by* to every dangling de Bruijn index >= *floor*."""
+def shift(t: TypeExpr, by: int) -> TypeExpr:
+    """Add *by* to every dangling de Bruijn index."""
     if by == 0:
         return t
-    return _rewrite(t, floor, BoundVar, lambda u, d: bvar(u.index + by))
+    return _rewrite(t, BoundVar, lambda u, d: bvar(u.index + by))
 
 
-def subst_top(t: TypeExpr, s: TypeExpr, depth: int = 0) -> TypeExpr:
-    """Replace the binder variable at *depth* in *t* by *s* and strip that
-    binder level (dangling indices above *depth* shift down by one)."""
-    return _rewrite(t, depth, BoundVar, lambda u, d:
+def subst_top(t: TypeExpr, s: TypeExpr) -> TypeExpr:
+    """Replace index 0 in *t* by *s* and strip that binder level (the
+    other dangling indices shift down by one)."""
+    return _rewrite(t, BoundVar, lambda u, d:
                     shift(s, d) if u.index == d else bvar(u.index - 1))
 
 
-_unfold_cache: dict = {}
+def _unfold_once(t: Rec) -> TypeExpr:
+    """The binder *t* unfolded once: its body with *t* for index 0."""
+    if not t.contractive:
+        raise NotContractiveError(f"cannot unfold {render(t)}")
+    return subst_top(t.body, t)
 
 
 def unfold(t: TypeExpr) -> TypeExpr:
-    """Strip recursion binders from the head by repeated substitution.
+    """Strip recursion binders from the head, one binder at a time.
 
     Terminates on contractive input; the result never has ``Rec`` at the
-    head and equals *t* when *t* is not a ``Rec``.
+    head and is *t* when *t* is not a ``Rec``.  Nothing is cached.
     """
-    if not isinstance(t, Rec):
-        return t
-    u = _unfold_cache.get(t)
-    if u is None:
-        stripped = []  # binders stripped on the way; all unfold to the result
-        u = t
-        while isinstance(u, Rec) and u not in _unfold_cache:
-            if not u.contractive:
-                raise NotContractiveError(f"cannot unfold {render(u)}")
-            stripped.append(u)
-            u = subst_top(u.body, u)
-        u = _unfold_cache.get(u, u)
-        for r in stripped:
-            _unfold_cache[r] = u
-    return u
+    while type(t) is Rec:
+        t = _unfold_once(t)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ read the source with ``ast``; they catch a function that calls itself by
 name and any change of the interpreter's recursion limit.  Three more
 source checks keep the pair graph to one breadth-first walk, the reports to
 one check path and the node attributes to one build step, one more
-keeps unfolding to the head compile and the allpairs grid, one keeps the
-rows of ``stcheck bench`` to one loop in the harness, one keeps
+keeps the one-binder unfolding step to the head compile and ``unfold``,
+one keeps the module-level caches to the three that ``cache_sizes``
+reports and ``clear_caches`` empties (all but the interning table), one
+keeps the rows of ``stcheck bench`` to one loop in the harness, one keeps
 binder bodies to the syntax and the subterm sets, and one keeps
 ``dataclasses`` out of the package.  The last three keep the public
 surface to what is documented and used: every ``__all__`` equals its list
@@ -27,8 +29,6 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # Self-calls whose depth is bounded by a constant or a parameter, not by
 # the input.
 BOUNDED_SELF_CALLS = {
-    # one level: an unfolded head is never a Rec
-    ("lts", "_table"),
     # depth at most GenConfig.max_size: each level spends some budget
     ("bench", "_gen"),
 }
@@ -106,10 +106,62 @@ def test_one_report_builder():
 
 
 def test_one_unfolding_site_per_use():
-    # lts._table compiles a head, and subtyping._sweep keys the allpairs
-    # grid by unfolded heads; no search unfolds a head outside the compile,
-    # so a pair refuted on its constructors unfolds nothing
-    assert callers("unfold") == [("lts", "_table"), ("subtyping", "_sweep")]
+    # lts._table strips binders one at a time and keeps each node's head in
+    # its table; syntax.unfold is the public loop over the same step.  No
+    # search unfolds a head outside the compile, so a pair refuted on its
+    # constructors unfolds nothing, and no module keeps heads of its own
+    assert callers("_unfold_once") == [("lts", "_table"), ("syntax", "unfold")]
+    assert callers("unfold") == []
+
+
+def module_caches():
+    """(module, name) for each name bound at module level to an empty
+    ``{}``, ``dict()`` or ``set()``."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                called(value) in ("dict", "set") and not value.args
+                and not value.keywords)
+            if empty:
+                found.update((path.stem, t.id) for t in targets
+                             if isinstance(t, ast.Name))
+    return found
+
+
+def package_reads(function):
+    """(module, name) for each ``_module.name`` that *function* of
+    ``stcheck/__init__.py`` reads."""
+    path = next(p for p in SOURCES if p.stem == "__init__")
+    tree = ast.parse(path.read_text(), str(path))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {(getattr(stcheck, node.value.id).__name__.split(".")[-1],
+             node.attr)
+            for node in ast.walk(body)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and isinstance(getattr(stcheck, node.value.id, None),
+                           types.ModuleType)}
+
+
+def test_every_module_cache_is_reported_and_cleared():
+    # a cache that cache_sizes does not report, clear_caches does not
+    # empty either, and a long-lived process could not bound it
+    caches = {("syntax", "_interned"), ("lts", "_tables"),
+              ("lts", "_action_tuples")}
+    assert module_caches() == package_reads("cache_sizes") == caches
+    assert package_reads("clear_caches") == caches - {("syntax", "_interned")}
+    assert set(stcheck.cache_sizes()) == {"interned", "head_tables",
+                                          "action_tuples"}
 
 
 def test_one_bench_loop():

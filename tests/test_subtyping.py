@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,12 +11,12 @@ import pytest
 
 import stcheck
 from helpers import weaken
-from stcheck import cache_sizes, clear_caches, subtyping
+from stcheck import cache_sizes, clear_caches, lts, subtyping
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import NotContractiveError, OpenTypeError, StcheckError
 from stcheck.lts import (
-    CONT_FIRST, RULE, SKIP, _table, act_end, act_in_cont, act_out_cont,
-    in_payload, out_payload, sel_label,
+    CONT_FIRST, HEAD, RULE, SKIP, _table, act_end, act_in_cont, act_out_cont,
+    build_lts, in_payload, out_payload, sel_label,
 )
 from stcheck.subtyping import (
     ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, ProductNode,
@@ -532,15 +533,44 @@ def test_cold_step_matches_warm_step():
         clear_caches()
         for node in universe:
             _table(node)
-        # the constructor the cold step read off a node is its table's
+        # the constructor the cold step read off a node is its table's,
+        # and the table holds the node's unfolded head
         for node in universe:
-            assert node._kind is _table(node)[0], node
+            table = _table(node)
+            assert node._kind is table[0], node
+            assert table[HEAD] is unfold(node), node
         compiled = cache_sizes()["head_tables"]
         for (left, right, order), moves in cold.items():
             assert stepped(left, right, order) == moves, (left, right, order)
             refuted += moves is None
         assert cache_sizes()["head_tables"] == compiled
     assert refuted > 10000
+
+
+def test_a_binder_chain_shares_one_table():
+    # compiling a binder strips its chain one binder at a time: the binder,
+    # its one-step unfolding and the head all map to one table
+    clear_caches()
+    t = parse("rec X . rec Y . ?[X].Y")
+    inner = parse("rec Y . ?[rec X . rec Y . ?[X].Y].Y")
+    head = unfold(t)
+    table = _table(t)
+    assert table[HEAD] is head
+    assert lts._tables[t] is lts._tables[inner] is lts._tables[head] is table
+    assert cache_sizes()["head_tables"] == 3
+
+
+@pytest.mark.parametrize("bad", ["x", None, SKIP])
+def test_an_argument_that_is_not_a_type_is_rejected(bad):
+    message = re.escape(f"not a type: {bad!r}")
+    for left, right in ((bad, end()), (end(), bad)):
+        for algo in ALGORITHMS:
+            with pytest.raises(ValueError, match=message):
+                check(left, right, algo)
+        with pytest.raises(ValueError, match=message):
+            export_product_dot(left, right)
+    with pytest.raises(ValueError, match=message):
+        build_lts(bad)
 
 
 def test_unknown_algorithm_rejected_before_closedness(t1):
