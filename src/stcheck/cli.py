@@ -3,7 +3,9 @@
 Exit codes: 0 = success (for ``check``/``equal``: the relation holds),
 1 = the relation does not hold, 2 = input or I/O error.  Machine-readable
 output (DOT, CSV, listings) goes to stdout or the requested file;
-diagnostics and ``--stats`` counters go to stderr.
+diagnostics and ``--stats`` counters go to stderr.  ``STCHECK_TIMEOUT_MS``
+bounds the searches of ``check``, ``equal`` (both directions together)
+and each ``bench`` run.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import io
 import os
 import sys
+import time
 from typing import Optional
 
 from . import subtyping
@@ -57,10 +60,31 @@ def _print_stats(report: subtyping.SubtypeReport) -> None:
     print(f"elapsed_ns={int(report.elapsed * 1e9)}", file=sys.stderr)
 
 
+def _timeout(default: Optional[float] = None) -> Optional[float]:
+    """Seconds from ``STCHECK_TIMEOUT_MS``, or *default* when it is unset."""
+    env = os.environ.get("STCHECK_TIMEOUT_MS")
+    if env is None:
+        return default
+    try:
+        ms = int(env)
+    except ValueError:
+        raise StcheckError(f"invalid STCHECK_TIMEOUT_MS: {env!r}") from None
+    if ms < 1:
+        raise StcheckError(f"STCHECK_TIMEOUT_MS must be at least 1, got {env}")
+    return ms / 1000.0
+
+
+def _deadline() -> Optional[float]:
+    """The deadline of a command's searches, from ``STCHECK_TIMEOUT_MS``;
+    past it a search raises ``DeadlineExceeded`` (exit 2)."""
+    timeout = _timeout()
+    return None if timeout is None else time.perf_counter() + timeout
+
+
 def cmd_check(args) -> int:
     left = _load(args.left)
     right = _load(args.right)
-    report = subtyping.check(left, right, args.algo)
+    report = subtyping.check(left, right, args.algo, _deadline())
     if args.stats:
         _print_stats(report)
     print("subtype" if report.verdict else "not-subtype")
@@ -70,8 +94,9 @@ def cmd_check(args) -> int:
 def cmd_equal(args) -> int:
     left = _load(args.left)
     right = _load(args.right)
-    forward = subtyping.check(left, right, args.algo)
-    backward = subtyping.check(right, left, args.algo)
+    deadline = _deadline()  # one for both directions
+    forward = subtyping.check(left, right, args.algo, deadline)
+    backward = subtyping.check(right, left, args.algo, deadline)
     if args.stats:
         _print_stats(forward)
         _print_stats(backward)
@@ -110,15 +135,7 @@ BENCH_FAMILIES = ("exp", "random")
 def cmd_bench(args) -> int:
     from . import bench
 
-    timeout = bench.DEFAULT_TIMEOUT
-    env = os.environ.get("STCHECK_TIMEOUT_MS")
-    if env is not None:
-        try:
-            timeout = int(env) / 1000.0
-        except ValueError:
-            raise StcheckError(f"invalid STCHECK_TIMEOUT_MS: {env!r}")
-        if timeout <= 0:
-            raise StcheckError(f"STCHECK_TIMEOUT_MS must be at least 1, got {env}")
+    timeout = _timeout(bench.DEFAULT_TIMEOUT)
     algorithms = args.algos.split(",") if args.algos else list(subtyping.ALGORITHMS)
     for algo in algorithms:
         if algo not in subtyping.ALGORITHMS:

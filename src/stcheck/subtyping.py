@@ -15,8 +15,7 @@ relation:
 * ``memoized``   -- the same search with one assumption set threaded
   through all premises in sequence; the first failing premise aborts.
   Both run in :func:`_dfs`, one loop over an explicit stack of premise
-  iterators, so depth is bounded by memory, not the recursion limit; it
-  reads the deadline once per stepped pair, not per visit.
+  iterators, so depth is bounded by memory, not the recursion limit.
 * ``product``    -- lazy reachability on the pair graph of the two type
   LTSs: the left type is a subtype iff no inconsistent pair is reachable
   from the root pair (quadratic).  :func:`_pairs` is the one walk of the
@@ -30,6 +29,15 @@ relation:
   lists are kept only from that cell on (a grid with no doomed cell, such
   as every ``exp`` pair's, builds none).  ``product_edges`` still counts
   the moves of every cell of the grid.
+
+The two walks, :func:`_pairs` and :func:`_dfs`, read the deadline before
+their first unit and then once per ``_CLOCK_EVERY`` units: a dequeued pair
+in :func:`_pairs`, an entered pair in :func:`_dfs` (one not assumed when
+met, whether it is stepped or reads its kept premises back).  A unit is at
+most one step, and a cold step compiles at most its two heads' tables, so
+a search runs at most ``_CLOCK_EVERY`` units past its deadline.  Met
+pairs that are already assumed cost O(1) and are no units: each entered
+pair adds at most its move count of them.
 
 The subtyping rules are written once, in :func:`_step`.  It maps a pair
 to ``None`` when the pair is inconsistent (different head constructors,
@@ -86,6 +94,11 @@ __all__ = [
 # attribute of an imported name, ``_tables.get(..)`` in :func:`_step`, as an
 # attribute load that builds a bound method on every step.
 _tables = lts._tables
+
+# The pair walks read the clock once per this many units (a dequeued pair
+# in _pairs, an entered pair in _dfs), not once per unit: on CPython a read
+# is a sizeable share of the cost of a warm step.
+_CLOCK_EVERY = 64
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
                 "product_edges", "max_context_depth")
@@ -178,16 +191,21 @@ def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
     Action order.  Every pair reached is added to *seen*.  Yields each
     inconsistent pair when it is dequeued, without expanding it, and
     ``None`` at the end, each with the moves of the pairs expanded so
-    far."""
+    far.  The deadline is read before the first dequeued pair and then
+    once per ``_CLOCK_EVERY`` of them."""
     root = (t, u)
     seen.add(root)
     queue = deque((root,))
-    edges = 0
+    edges = tick = 0  # tick: dequeued pairs left before the next clock read
     while queue:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise DeadlineExceeded
+        if tick:
+            tick -= 1
+        elif deadline is not None:
+            if time.perf_counter() > deadline:
+                raise DeadlineExceeded
+            tick = _CLOCK_EVERY - 1
         pair = queue.popleft()
-        moves = _step(*pair, CONT_FIRST)
+        moves = _step(pair[0], pair[1], CONT_FIRST)
         if moves is None:
             yield pair, edges
             continue
@@ -290,10 +308,9 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
     when met again.  When the search retracts, each stepped pair's
     premises are kept for the search, so a pair met again after its
     assumption ended reads them back: :func:`_step` runs once per distinct
-    pair, while the visit count stays exponential.  A hit costs O(1) and
-    a step adds at most its move count of hits, so reading the deadline
-    per step bounds the overshoot."""
-    clock = time.perf_counter
+    pair, while the visit count stays exponential.  The deadline is read
+    before the first entered pair (one not assumed when met, re-entries of
+    kept premises included) and then once per ``_CLOCK_EVERY`` of them."""
     assumed: Set[Tuple[Node, Node]] = set()
     # Each stepped pair's premises, kept for the search when it retracts:
     # only then can a pair be stepped again, and a refuted pair ends it.
@@ -301,23 +318,29 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
     path: List[Tuple[Node, Node]] = []  # the open pairs, root first
     stack: list = []  # the premise iterator each open pair was taken from
     it = iter(((t, u),))
-    visited = depth = 0
+    visited = depth = tick = 0  # tick: entries left before the next read
     while True:
         for pair in it:
             visited += 1
             if pair in assumed:
                 continue
-            if deadline is not None and clock() > deadline:
-                raise DeadlineExceeded
+            if tick:
+                tick -= 1
+            elif deadline is not None:
+                if time.perf_counter() > deadline:
+                    raise DeadlineExceeded
+                tick = _CLOCK_EVERY - 1
             assumed.add(pair)
             if len(assumed) > depth:
                 depth = len(assumed)
             stack.append(it)
             path.append(pair)
-            if retract and pair in premises:
-                it = iter(premises[pair])
-                break
-            moves = _step(*pair)
+            if retract:
+                again = premises.get(pair)
+                if again is not None:  # end/end keeps (), which is falsy
+                    it = iter(again)
+                    break
+            moves = _step(pair[0], pair[1])
             if moves is None:
                 return False, visited, len(assumed), depth
             # end/end is an axiom here: the terminal pair is no premise

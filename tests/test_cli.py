@@ -10,7 +10,7 @@ import pytest
 from helpers import T1_TEXT, T2_TEXT, T3_TEXT
 import stcheck
 from stcheck import cli
-from stcheck.bench import CSV_COLUMNS
+from stcheck.bench import CSV_COLUMNS, gen_blowup_family
 from stcheck.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
 from stcheck.subterms import sub_top_down
 from stcheck.syntax import parse, render
@@ -150,6 +150,59 @@ def test_bench_timeout_below_one_ms(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "STCHECK_TIMEOUT_MS must be at least 1" in captured.err
+
+
+@pytest.fixture
+def exp_files(tmp_path):
+    """The exp k=200 pair, whose searches take tens of milliseconds."""
+    paths = []
+    for name, t in zip(("left", "right"), gen_blowup_family(200)):
+        p = tmp_path / f"{name}.st"
+        p.write_text(render(t) + "\n")
+        paths.append(str(p))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["check", "equal"])
+def test_check_timeout_env_ends_in_exit_2(exp_files, command, monkeypatch,
+                                          capsys):
+    monkeypatch.setenv("STCHECK_TIMEOUT_MS", "1")
+    assert main([command, *exp_files]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "stcheck: error: deadline passed before a verdict\n"
+
+
+def test_bad_timeout_env_gives_bench_messages(files, monkeypatch, capsys):
+    for value in ("soon", "0", "-5"):
+        monkeypatch.setenv("STCHECK_TIMEOUT_MS", value)
+        assert main(["bench", "--kmax", "1", "--algos", "product"]) == EXIT_ERROR
+        bench_err = capsys.readouterr().err
+        assert "STCHECK_TIMEOUT_MS" in bench_err
+        for args in (["check", files["t2"], files["t1"]],
+                     ["equal", files["t1"], files["t1"]]):
+            assert main(args) == EXIT_ERROR
+            assert capsys.readouterr() == ("", bench_err), (value, args)
+
+
+def test_timeout_env_leaves_verdicts_unchanged(files, exp_files,
+                                               monkeypatch, capsys):
+    runs = (["check", files["t2"], files["t1"]],
+            ["check", files["t1"], files["t2"]],
+            ["check", "--algo", "inductive", files["t2"], files["t3"]],
+            ["equal", files["t1"], files["t1"]],
+            ["equal", files["t1"], files["t2"]],
+            ["check", *exp_files])
+    expected = ("subtype\n", "not-subtype\n", "subtype\n", "equal\n",
+                "not-equal\n", "subtype\n")
+    for env in (None, "600000"):
+        if env is None:
+            monkeypatch.delenv("STCHECK_TIMEOUT_MS", raising=False)
+        else:
+            monkeypatch.setenv("STCHECK_TIMEOUT_MS", env)
+        for args, out in zip(runs, expected):
+            main(args)
+            assert capsys.readouterr() == (out, ""), (env, args)
 
 
 def test_bench_bad_algo(capsys):

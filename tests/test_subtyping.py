@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -284,6 +285,45 @@ def test_search_deadline_overshoot_is_bounded():
         with pytest.raises(DeadlineExceeded):
             check(left, right, algo, deadline=start + 0.01)
         assert time.perf_counter() - start - 0.01 < 0.5, algo
+
+
+def test_walks_read_the_clock_once_per_64_units(monkeypatch):
+    """``product`` reads the clock per 64 dequeued pairs, ``memoized`` and
+    ``inductive`` per 64 entered pairs, plus the first read and the two of
+    ``check``; a deadline already passed raises before any step."""
+    clock = time.perf_counter
+    reads = steps = 0
+
+    def counting_clock():
+        nonlocal reads
+        reads += 1
+        return clock()
+
+    step = subtyping._step
+
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    cases = (("product", 50, "product_nodes"),
+             ("memoized", 50, "memo_entries"),
+             ("inductive", 10, "judgements_visited"))
+    for algo, k, unit in cases:
+        left, right = gen_blowup_family(k)
+        far = clock() + 3600
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "perf_counter", counting_clock)
+            reads = 0
+            report = check(left, right, algo, deadline=far)
+        assert report.verdict, algo
+        assert reads <= math.ceil(report.counters[unit] / 64) + 3, algo
+        with monkeypatch.context() as patch:
+            patch.setattr(subtyping, "_step", counting_step)
+            steps = 0
+            with pytest.raises(DeadlineExceeded):
+                check(left, right, algo, deadline=clock() - 1)
+        assert steps == 0, algo
 
 
 def test_deadline_exceeded_is_a_public_stcheck_error(t2, t3):
