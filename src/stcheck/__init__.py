@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 def cache_sizes() -> dict:
     """Entries in each module-level cache: the interned types, the
     compiled head tables (one per node whose head was compiled) and the
-    shared action tuples."""
+    shared action tuples (one per head shape)."""
     return {
         "interned": len(_syntax._interned),
         "head_tables": len(_lts._tables),
@@ -46,15 +46,15 @@ def cache_sizes() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every cache derived from the types, so a long-lived process
-    can bound its memory; results are unchanged, only rebuilt on demand.
+    """Empty the head tables, so a long-lived process can bound its
+    memory; results are unchanged, the tables only rebuilt on demand.
 
-    The interning table is kept: a type is its interned node, and equality
-    is identity, so dropping the table would let a later parse build a
-    second node equal to a live one but not identical to it.  Call this
-    between checks, not while one runs in another thread: a head compiled
-    after the clear does not share its action tuple with one compiled
-    before it.
+    The interning table and the action tuples are kept, for one reason:
+    they carry identity.  A type is its interned node, and equality is
+    identity; two heads of one shape match by their shared action tuple.
+    The action tuples are keyed by the shapes of interned heads, so they
+    cannot outgrow the interning table.  A table compiled before a clear
+    matches one compiled after it, so this may be called while a check
+    runs.
     """
     _lts._tables.clear()
-    _lts._action_tuples.clear()

@@ -30,7 +30,7 @@ EXIT_ERROR = 2
 
 def _load(path: str) -> TypeExpr:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a BOM
             text = fh.read()
     except OSError as exc:
         raise StcheckError(f"{path}: {exc.strerror or exc}") from exc

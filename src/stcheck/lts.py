@@ -10,12 +10,13 @@ orders, rule order (``RULE``: payloads before the continuation) and
 head (``HEAD``).  Every node maps to its head's table, as does every
 binder stripped on the way, so a type and its unfoldings share one: the
 tables are the one map from a node to its head.  The action tuples are
-shared by all heads of one kind with one arity or one label tuple, so one
-identity test matches two heads.  :func:`build_lts` reads the tables in
-Action order and the subtyping searches zip two tables; there is no other
-encoding of a head's moves.  A step compiles a missing table only when the
-two heads may have one constructor, which it reads off the nodes'
-``_kind`` without unfolding; ``SKIP``'s is ``Skip``.
+shared, for the life of the process, by all heads of one kind with one
+arity or one label tuple, so one identity test matches two heads.
+:func:`build_lts` reads the tables in Action order and the subtyping
+searches zip two tables; there is no other encoding of a head's moves.  A
+step compiles a missing table only when the two heads may have one
+constructor, which it reads off the nodes' ``_kind`` without unfolding;
+``SKIP``'s is ``Skip``.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ HEAD = 6  # index of the unfolded head
 # Each compiled node's head table: a binder and its unfoldings share one.
 _tables: Dict[Node, Table] = {}
 # (kind, arity or label tuple) -> (rule-order actions, Action-order
-# actions, the key): two heads with the same action tuple, by identity,
-# have the same kind and the same arity or labels.
+# actions, the key), never cleared: two heads with the same action tuple,
+# by identity, have the same kind and the same arity or labels.
 _action_tuples: Dict[tuple, tuple] = {}
 
 _END_ACTS = (act_end,)

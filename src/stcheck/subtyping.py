@@ -30,14 +30,15 @@ relation:
   as every ``exp`` pair's, builds none).  ``product_edges`` still counts
   the moves of every cell of the grid.
 
-The two walks, :func:`_pairs` and :func:`_dfs`, read the deadline before
-their first unit and then once per ``_CLOCK_EVERY`` units: a dequeued pair
-in :func:`_pairs`, an entered pair in :func:`_dfs` (one not assumed when
-met, whether it is stepped or reads its kept premises back).  A unit is at
-most one step, and a cold step compiles at most its two heads' tables, so
-a search runs at most ``_CLOCK_EVERY`` units past its deadline.  Met
-pairs that are already assumed cost O(1) and are no units: each entered
-pair adds at most its move count of them.
+The two walks, :func:`_pairs` and :func:`_dfs`, read the deadline
+(``math.inf`` if :func:`check` got none) before their first unit and then
+once per ``_CLOCK_EVERY`` units: a dequeued pair in :func:`_pairs`, an
+entered pair in :func:`_dfs` (one not assumed when met, whether it is
+stepped or reads its kept premises back).  A unit is at most one step, and
+a cold step compiles at most its two heads' tables, so a search runs at
+most ``_CLOCK_EVERY`` units past its deadline.  Met pairs that are already
+assumed cost O(1) and are no units: each entered pair adds at most its
+move count of them.
 
 The subtyping rules are written once, in :func:`_step`.  It maps a pair
 to ``None`` when the pair is inconsistent (different head constructors,
@@ -69,6 +70,7 @@ Choice labels come in label order in both.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from collections import Counter, deque
@@ -186,7 +188,7 @@ def product_successors(p: ProductNode) -> List[Tuple[Action, ProductNode]]:
 
 
 def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
-           deadline: Optional[float]):
+           deadline: float):
     """The breadth-first walk of the pair graph from ``(t, u)``, moves in
     Action order.  Every pair reached is added to *seen*.  Yields each
     inconsistent pair when it is dequeued, without expanding it, and
@@ -198,12 +200,11 @@ def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
     queue = deque((root,))
     edges = tick = 0  # tick: dequeued pairs left before the next clock read
     while queue:
-        if tick:
-            tick -= 1
-        elif deadline is not None:
+        if not tick:
             if time.perf_counter() > deadline:
                 raise DeadlineExceeded
-            tick = _CLOCK_EVERY - 1
+            tick = _CLOCK_EVERY
+        tick -= 1
         pair = queue.popleft()
         moves = _step(pair[0], pair[1], CONT_FIRST)
         if moves is None:
@@ -218,7 +219,7 @@ def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
     yield None, edges
 
 
-def _product(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
+def _product(t: TypeExpr, u: TypeExpr, deadline: float):
     """Lazy breadth-first search of the reachable pair graph; refutes as
     soon as an inconsistent pair is dequeued."""
     seen: Set[Tuple[Node, Node]] = set()
@@ -226,7 +227,7 @@ def _product(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     return bad is None, {"product_nodes": len(seen), "product_edges": edges}
 
 
-def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
+def _sweep(t: TypeExpr, u: TypeExpr, deadline: float):
     """The grid over the joint subterm universe plus the terminal and the
     backward closure of its inconsistent pairs, kept on distinct unfolded
     heads (``HEAD`` in each member's table): only pairs of heads with one
@@ -249,7 +250,7 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
     edges = 0
     for a in count:
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             raise DeadlineExceeded
         for b in groups[type(a)]:
             node = (a, b)
@@ -267,7 +268,7 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
                     reverse.setdefault((x, y), []).append(node)
     if doomed:  # step the cells before the first doomed one again
         for a in count:
-            if deadline is not None and time.perf_counter() > deadline:
+            if time.perf_counter() > deadline:
                 raise DeadlineExceeded
             for b in groups[type(a)]:
                 node = (a, b)
@@ -292,7 +293,7 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     return universe, holds, edges
 
 
-def _allpairs(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
+def _allpairs(t: TypeExpr, u: TypeExpr, deadline: float):
     """Verdict for the root pair via the all-pairs backward sweep."""
     universe, holds, edges = _sweep(t, u, deadline)
     return holds(t, u), {"product_nodes": len(universe) ** 2,
@@ -300,7 +301,7 @@ def _allpairs(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
 
 
 def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
-         deadline: Optional[float]) -> Tuple[bool, int, int, int]:
+         deadline: float) -> Tuple[bool, int, int, int]:
     """The search of ``inductive`` (*retract*: an assumption ends when its
     premises hold) and ``memoized`` (kept for the run), depth first in rule
     order: the verdict, the visits, the assumptions held at the end and
@@ -324,12 +325,11 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
             visited += 1
             if pair in assumed:
                 continue
-            if tick:
-                tick -= 1
-            elif deadline is not None:
+            if not tick:
                 if time.perf_counter() > deadline:
                     raise DeadlineExceeded
-                tick = _CLOCK_EVERY - 1
+                tick = _CLOCK_EVERY
+            tick -= 1
             assumed.add(pair)
             if len(assumed) > depth:
                 depth = len(assumed)
@@ -358,7 +358,7 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
             it = stack.pop()
 
 
-def _inductive(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
+def _inductive(t: TypeExpr, u: TypeExpr, deadline: float):
     """Judgement search with path-local assumption contexts.
 
     A pair already assumed on the current path succeeds immediately; each
@@ -369,7 +369,7 @@ def _inductive(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
     return verdict, {"judgements_visited": visited, "max_context_depth": depth}
 
 
-def _memoized(t: TypeExpr, u: TypeExpr, deadline: Optional[float]):
+def _memoized(t: TypeExpr, u: TypeExpr, deadline: float):
     """The same search with a single assumption set threaded through all
     premises; any failing premise aborts the whole run (no negative
     caching, assumptions are never retracted)."""
@@ -398,6 +398,7 @@ def check(t: TypeExpr, u: TypeExpr, algorithm: str = "product",
     except KeyError:
         raise ValueError(f"unknown algorithm: {algorithm!r}") from None
     _require_closed(t, u)
+    deadline = math.inf if deadline is None else deadline  # no None below
     start = time.perf_counter()
     verdict, counters = search(t, u, deadline)
     elapsed = time.perf_counter() - start
@@ -430,7 +431,7 @@ def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
     filled red and not expanded further."""
     _require_closed(t, u)
     seen: Set[Tuple[Node, Node]] = set()
-    bad = {pair for pair, _ in _pairs(t, u, seen, None)}
+    bad = {pair for pair, _ in _pairs(t, u, seen, math.inf)}
     graph = {p: product_successors(p) for p in seen}
     return _dot("product", (t, u), graph, _pair_label,
                 ("doubleoctagon", "box"), bad)

@@ -57,8 +57,6 @@ __all__ = [
     "parse", "render", "size", "is_closed", "unfold",
 ]
 
-Branches = Tuple[Tuple[str, "TypeExpr"], ...]
-
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # Variables and labels as the concrete syntax reads them, so render re-parses.
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import stcheck
-from stcheck import cache_sizes, clear_caches
+from stcheck import cache_sizes, clear_caches, lts
 from stcheck.bench import gen_blowup_family, random_pair
 from stcheck.subtyping import ALGORITHMS, check
 from stcheck.syntax import parse
@@ -33,10 +33,22 @@ def test_clear_caches_restores_import_time_sizes():
     assert all(grown[name] > fresh[name] for name in DERIVED), grown
     clear_caches()
     cleared = cache_sizes()
-    assert {name: cleared[name] for name in DERIVED} \
-        == {name: fresh[name] for name in DERIVED}
-    # interned nodes stay: equality of types is identity
+    assert cleared["head_tables"] == fresh["head_tables"]
+    # interned nodes and action tuples stay: both carry identity
     assert cleared["interned"] == grown["interned"]
+    assert cleared["action_tuples"] == grown["action_tuples"]
+
+
+def test_a_table_compiled_before_a_clear_matches_one_compiled_after():
+    # a step that read a table before a clear still holds it after: the
+    # heads compiled later must share its action tuples, or no rule matches
+    left, right = parse("?[end].end"), parse("?[end].rec X . end")
+    for algo in ALGORITHMS:
+        clear_caches()
+        table = lts._table(left)
+        clear_caches()
+        lts._tables[left] = table
+        assert check(left, right, algo).verdict, algo
 
 
 def run_stream(clear_between):

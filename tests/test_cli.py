@@ -69,6 +69,18 @@ def test_equal(files):
     assert main(["equal", files["t1"], files["t2"]]) == EXIT_NO
 
 
+def test_equal_stats_are_forward_then_backward(files, capsys):
+    def stats(command, left, right):
+        assert main([command, "--stats", files[left], files[right]]) \
+            in (EXIT_OK, EXIT_NO)
+        err = capsys.readouterr().err.splitlines()
+        return [line for line in err if not line.startswith("elapsed_ns=")]
+
+    forward, backward = stats("check", "t2", "t3"), stats("check", "t3", "t2")
+    assert forward != backward
+    assert stats("equal", "t2", "t3") == forward + backward
+
+
 def test_lts_dot(files, capsys):
     assert main(["lts", files["t1"]]) == EXIT_OK
     dot = capsys.readouterr().out
@@ -343,3 +355,26 @@ def test_non_utf8_input_is_an_input_error(files, tmp_path, command):
     assert done.stderr.startswith(f"stcheck: error: {bad}: not UTF-8 text")
     assert len(done.stderr.splitlines()) == 1
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check", "lts", "subterms"])
+def test_a_leading_byte_order_mark_is_skipped(files, tmp_path, capsys,
+                                              command):
+    bom = tmp_path / "bom.st"
+    bom.write_bytes(b"\xef\xbb\xbf" + (T1_TEXT + "\n").encode())
+    args = {"check": [files["t2"]], "lts": [], "subterms": []}[command]
+    results = []
+    for path in (files["t1"], str(bom)):
+        code = main([command, path, *args])
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert results[0][1]
+
+
+def test_a_byte_order_mark_after_the_first_character_is_an_error(
+        files, tmp_path, capsys):
+    bad = tmp_path / "bad.st"
+    bad.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfend\n")
+    assert main(["check", str(bad), files["end"]]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"stcheck: error: {bad}: 1:1: unexpected character '\\ufeff'\n")

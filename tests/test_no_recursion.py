@@ -6,14 +6,15 @@ source checks keep the pair graph to one breadth-first walk, the reports to
 one check path and the node attributes to one build step, one more
 keeps the one-binder unfolding step to the head compile and ``unfold``,
 one keeps the module-level caches to the three that ``cache_sizes``
-reports and ``clear_caches`` empties (all but the interning table), one
-keeps the rows of ``stcheck bench`` to one loop in the harness, one keeps
-binder bodies to the syntax and the subterm sets, and one keeps
-``dataclasses`` out of the package.  The last three keep the public
-surface to what is documented and used: every ``__all__`` equals its list
-in the README's "Public API" section, no module imports a name it never
-uses, and every stcheck name that ``perfbench/`` imports or reads exists,
-since no test here runs the benchmark's worker."""
+reports, of which ``clear_caches`` empties only the head tables, one
+keeps the test for no deadline to ``check``, one keeps the rows of
+``stcheck bench`` to one loop in the harness, one keeps binder bodies to
+the syntax and the subterm sets, and one keeps ``dataclasses`` out of the
+package.  The last three keep the public surface to what is documented
+and used: every ``__all__`` equals its list in the README's "Public API"
+section, no module imports a name it never uses, and every stcheck name
+that ``perfbench/`` imports or reads exists, since no test here runs the
+benchmark's worker."""
 
 import ast
 import importlib
@@ -75,9 +76,9 @@ def test_no_function_calls_itself():
     assert self_calls == BOUNDED_SELF_CALLS
 
 
-def callers(name):
-    """(module, function) for each call of *name* in the sources: the
-    innermost enclosing function, or ``<module>`` at the top level."""
+def scopes(test):
+    """(module, function) for each node of the sources that passes *test*:
+    the innermost enclosing function, or ``<module>`` at the top level."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -86,10 +87,15 @@ def callers(name):
             node, scope = todo.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = node.name
-            if called(node) == name:
+            if test(node):
                 found.append((path.stem, scope))
             todo.extend((kid, scope) for kid in ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def callers(name):
+    """(module, function) for each call of *name* in the sources."""
+    return scopes(lambda node: called(node) == name)
 
 
 def test_one_breadth_first_walk():
@@ -103,6 +109,22 @@ def test_one_report_builder():
     # verdict and counters, so the closedness check, the clock and the
     # report cannot drift apart between algorithms
     assert callers("SubtypeReport") == [("subtyping", "check")]
+
+
+def compares_deadline_with_none(node):
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(x, ast.Name) and x.id == "deadline"
+               for x in operands) and any(
+        isinstance(x, ast.Constant) and x.value is None for x in operands)
+
+
+def test_only_check_compares_the_deadline_with_none():
+    # check maps deadline=None to math.inf once: every walk compares the
+    # clock with one number, so the code a check without a deadline runs
+    # is the code the benchmark, which always passes one, measures
+    assert scopes(compares_deadline_with_none) == [("subtyping", "check")]
 
 
 def test_one_unfolding_site_per_use():
@@ -154,12 +176,15 @@ def package_reads(function):
 
 
 def test_every_module_cache_is_reported_and_cleared():
-    # a cache that cache_sizes does not report, clear_caches does not
-    # empty either, and a long-lived process could not bound it
+    # every cache is reported, so a long-lived process can watch it.
+    # clear_caches empties the head tables alone: the interned nodes and
+    # the action tuples carry identity (equal types, and heads of one
+    # shape, are one object), and the action tuples are keyed by shapes
+    # of interned heads, so they are bounded by the interning table
     caches = {("syntax", "_interned"), ("lts", "_tables"),
               ("lts", "_action_tuples")}
     assert module_caches() == package_reads("cache_sizes") == caches
-    assert package_reads("clear_caches") == caches - {("syntax", "_interned")}
+    assert package_reads("clear_caches") == {("lts", "_tables")}
     assert set(stcheck.cache_sizes()) == {"interned", "head_tables",
                                           "action_tuples"}
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -150,7 +151,7 @@ def test_figure_graph_node_set(t1, t2, t3):
 
 def all_pairs(t, u):
     """The relation allpairs decides: every cell of its grid that holds."""
-    universe, holds, _ = subtyping._sweep(t, u, None)
+    universe, holds, _ = subtyping._sweep(t, u, math.inf)
     return {ProductNode(l, r)
             for l in universe for r in universe if holds(l, r)}
 
@@ -324,6 +325,27 @@ def test_walks_read_the_clock_once_per_64_units(monkeypatch):
             with pytest.raises(DeadlineExceeded):
                 check(left, right, algo, deadline=clock() - 1)
         assert steps == 0, algo
+
+
+def test_allpairs_reads_the_deadline_in_its_second_pass(monkeypatch):
+    """The sweep's first pass reads the clock once per row, one row per
+    distinct head; a refuted grid has a doomed cell, so a second pass
+    steps the cells before the first one again and reads it per row too."""
+    left, right = random_pair(0, 40)
+    universe = [*sub_pair(left, right), SKIP]
+    assert len({_table(v)[HEAD] for v in universe}) == 6
+    assert not check(left, right, "allpairs").verdict
+    reads = 0
+
+    def clock():  # check's start read and the 6 rows of pass 1, then late
+        nonlocal reads
+        reads += 1
+        return 0.0 if reads <= 7 else 2.0
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    with pytest.raises(DeadlineExceeded):
+        check(left, right, "allpairs", deadline=1.0)
+    assert reads == 8
 
 
 def test_deadline_exceeded_is_a_public_stcheck_error(t2, t3):
@@ -655,6 +677,37 @@ def test_agreement_on_random_pairs():
         left, right = random_pair(seed, max_size=30)
         verdicts = {check(left, right, algo).verdict for algo in ALGORITHMS}
         assert len(verdicts) == 1, (seed, verdicts)
+
+
+def load_oracle():
+    """``perfbench/oracle.py``, loaded by path: the syntactic rules read
+    through ``syntax.unfold`` alone, independent of ``lts`` and
+    ``subtyping``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "oracle.py")
+    spec = importlib.util.spec_from_file_location("stcheck_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_near_miss_pairs_agree_with_the_oracle():
+    # a random type against a weakening of it, both ways: most pairs are
+    # true and deep, and the refuted ones fail far from the root, so every
+    # walk and every rule of _step is reached on both verdicts
+    is_subtype = load_oracle().is_subtype
+    pairs = []
+    for s in range(1500):
+        t = gen_random(GenConfig(seed=s, max_size=30))
+        w = weaken(t, random.Random(s))
+        pairs += [(t, w), (w, t)]
+    true = 0
+    for t, u in pairs:
+        expected = is_subtype(t, u)
+        true += expected
+        for algo in ALGORITHMS:
+            assert check(t, u, algo).verdict == expected, (t, u, algo)
+    assert (len(pairs), true) == (3000, 2118)
 
 
 def test_reflexivity_random():
