@@ -36,25 +36,27 @@ __version__ = "0.1.0"
 
 def cache_sizes() -> dict:
     """Entries in each module-level cache: the interned types, the
-    compiled head tables (one per node whose head was compiled) and the
-    shared action tuples (one per head shape)."""
+    compiled head tables (one per node whose ``_table`` slot was set since
+    the last clear) and the shared action tuples (one per head shape)."""
     return {
         "interned": len(_syntax._interned),
-        "head_tables": len(_lts._tables),
+        "head_tables": len(_lts._compiled),
         "action_tuples": len(_lts._action_tuples),
     }
 
 
 def clear_caches() -> None:
-    """Empty the head tables, so a long-lived process can bound its
+    """Reset the head tables, so a long-lived process can bound its
     memory; results are unchanged, the tables only rebuilt on demand.
+    It empties the slot of each node compiled since the last clear.
 
     The interning table and the action tuples are kept, for one reason:
     they carry identity.  A type is its interned node, and equality is
     identity; two heads of one shape match by their shared action tuple.
     The action tuples are keyed by the shapes of interned heads, so they
     cannot outgrow the interning table.  A table compiled before a clear
-    matches one compiled after it, so this may be called while a check
-    runs.
+    matches one compiled after it, and a node is listed after its slot is
+    set, so this may be called while a check runs.
     """
-    _lts._tables.clear()
+    while _lts._compiled:
+        _lts._compiled.pop()._table = None

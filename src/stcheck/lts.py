@@ -7,21 +7,23 @@ Each unfolded head is compiled once, on first use, into a table: its kind,
 its payload arity or label tuple, its actions and successors in two
 orders, rule order (``RULE``: payloads before the continuation) and
 :class:`Action` order (``CONT_FIRST``: the continuation first), and the
-head (``HEAD``).  Every node maps to its head's table, as does every
-binder stripped on the way, so a type and its unfoldings share one: the
-tables are the one map from a node to its head.  The action tuples are
-shared, for the life of the process, by all heads of one kind with one
-arity or one label tuple, so one identity test matches two heads.
+head (``HEAD``).  The table sits in the node's ``_table`` slot, as it
+does in every binder stripped on the way, so a type and its unfoldings
+share one: the slots are the one map from a node to its head.  Each
+compiled node is listed in ``_compiled``, whose slots ``clear_caches``
+resets.  The action tuples are shared, for the life of the process, by
+all heads of one kind with one arity or one label tuple, so one identity
+test matches two heads.
 :func:`build_lts` reads the tables in Action order and the subtyping
 searches zip two tables; there is no other encoding of a head's moves.  A
 step compiles a missing table only when the two heads may have one
 constructor, which it reads off the nodes' ``_kind`` without unfolding;
-``SKIP``'s is ``Skip``.
+``SKIP``'s is ``Skip``, and its table is built once, here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
@@ -109,47 +111,53 @@ RULE = 2
 CONT_FIRST = 4
 HEAD = 6  # index of the unfolded head
 
-# Each compiled node's head table: a binder and its unfoldings share one.
-_tables: Dict[Node, Table] = {}
+# Each node whose _table slot was set since the last clear_caches.
+_compiled: List[Node] = []
 # (kind, arity or label tuple) -> (rule-order actions, Action-order
 # actions, the key), never cleared: two heads with the same action tuple,
 # by identity, have the same kind and the same arity or labels.
 _action_tuples: Dict[tuple, tuple] = {}
 
 _END_ACTS = (act_end,)
+SKIP._table = (Skip, None, (), (), (), (), SKIP)  # never listed or reset
 
 
 def _table(node: Node) -> Table:
-    """Compile the unfolded head of *node*, stripping binders one at a time
-    up to a node that has a table, and map each node on the way to it."""
+    """The table of *node*'s unfolded head.  Without one, strip binders up
+    to a node that has one, or compile the head; each node on the way gets
+    it in its slot and is then listed, so a clear meanwhile resets it."""
     stripped = []
-    while type(node) is Rec and node not in _tables:
+    table = node._table  # read once: a clear may reset it meanwhile
+    while table is None and type(node) is Rec:
         stripped.append(node)
         node = _unfold_once(node)
-    kind = type(node)
-    if node in _tables:
-        table = _tables[node]
-    elif kind is Input or kind is Output:
-        payloads = node.payloads
+        table = node._table
+    if table is None:
+        table = _compile(node)
+        stripped.append(node)
+    for each in stripped:
+        each._table = table
+    _compiled.extend(stripped)
+    return table
+
+
+def _compile(head: TypeExpr) -> Table:
+    """The table of *head*, a node that is no binder."""
+    kind = type(head)
+    if kind is Input or kind is Output:
+        payloads = head.payloads
         arity = len(payloads)
         acts = _action_tuples.get((kind, arity)) or _share_actions(kind, arity)
-        table = (kind, arity, acts[0], payloads + (node.cont,),
-                 acts[1], (node.cont,) + payloads, node)
-    elif kind is Branch or kind is Select:
-        labels, succ = zip(*node.branches)
+        return (kind, arity, acts[0], payloads + (head.cont,),
+                acts[1], (head.cont,) + payloads, head)
+    if kind is Branch or kind is Select:
+        labels, succ = zip(*head.branches)
         acts, _, labels = (_action_tuples.get((kind, labels))
                            or _share_actions(kind, labels))
-        table = (kind, labels, acts, succ, acts, succ, node)
-    elif kind is End:
-        table = (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,), node)
-    elif kind is Skip:
-        table = (Skip, None, (), (), (), (), node)
-    else:
-        raise OpenTypeError(f"type has free variables: {render(node)}")
-    _tables[node] = table
-    for binder in stripped:
-        _tables[binder] = table
-    return table
+        return (kind, labels, acts, succ, acts, succ, head)
+    if kind is End:
+        return (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,), head)
+    raise OpenTypeError(f"type has free variables: {render(head)}")
 
 
 def _share_actions(kind: type, key):
@@ -208,7 +216,7 @@ def build_lts(t: TypeExpr) -> TypeLts:
         node = queue.pop()
         if node in adjacency:
             continue
-        table = _tables.get(node) or _table(node)
+        table = node._table or _table(node)
         succ = table[CONT_FIRST + 1]
         adjacency[node] = dict(zip(table[CONT_FIRST], succ))
         for dst in succ:

@@ -15,7 +15,8 @@ relation:
 * ``memoized``   -- the same search with one assumption set threaded
   through all premises in sequence; the first failing premise aborts.
   Both run in :func:`_dfs`, one loop over an explicit stack of premise
-  iterators, so depth is bounded by memory, not the recursion limit.
+  iterators, so depth is bounded by memory, not the recursion limit; the
+  path of open pairs is kept only by ``inductive``, which retracts them.
 * ``product``    -- lazy reachability on the pair graph of the two type
   LTSs: the left type is a subtype iff no inconsistent pair is reachable
   from the root pair (quadratic).  :func:`_pairs` is the one walk of the
@@ -49,8 +50,9 @@ the pair (contravariance); ``end``/``end`` steps to the terminal pair
 ``(SKIP, SKIP)``, which has no moves.
 
 A step reads the two heads' tables, which :mod:`stcheck.lts` compiles
-once per unfolded head, so it costs two lookups, not two unfoldings, and
-it zips the two tables' successors.  A table is compiled on the first
+once per unfolded head and keeps in each node's ``_table`` slot, so it
+costs two attribute reads, not two unfoldings or dict lookups, and it
+zips the two tables' successors.  A table is compiled on the first
 step that is not refuted by its constructors: while either table is
 missing, two heads of different constructors, read off the nodes'
 ``_kind``, are refuted before either side is unfolded or compiled.
@@ -76,7 +78,6 @@ from bisect import bisect_left
 from collections import Counter, deque
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from . import lts
 from .errors import DeadlineExceeded
 from .lts import (
     CONT_FIRST, HEAD, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
@@ -91,11 +92,6 @@ __all__ = [
     "export_product_dot", "ProductNode", "is_inconsistent",
     "product_successors",
 ]
-
-# Bound by assignment, not imported: CPython 3.11 compiles a call on an
-# attribute of an imported name, ``_tables.get(..)`` in :func:`_step`, as an
-# attribute load that builds a bound method on every step.
-_tables = lts._tables
 
 # The pair walks read the clock once per this many units (a dequeued pair
 # in _pairs, an entered pair in _dfs), not once per unit: on CPython a read
@@ -129,8 +125,8 @@ def _step(left: Node, right: Node, order: int = RULE):
     exist on the right, the right's selection labels on the left.
     ``end``/``end`` moves to the terminal pair ``(SKIP, SKIP)``, which
     has none."""
-    a = _tables.get(left)
-    b = _tables.get(right)
+    a = left._table
+    b = right._table
     if not (a and b):
         # A cold pair is refuted on its heads' constructors before either
         # side is unfolded or compiled.  A _kind that is not a class (an
@@ -139,7 +135,7 @@ def _step(left: Node, right: Node, order: int = RULE):
         if ka is not kb and type(ka) is type is type(kb):
             return None
         a = a or _table(left)
-        b = _tables.get(right) or _table(right)  # left may have compiled it
+        b = right._table or _table(right)  # left may have compiled it
     acts = a[order]
     if acts is b[order]:
         if a[0] is Output:
@@ -241,7 +237,7 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: float):
     to record their edges; if it has none, no list is built at all."""
     universe = list(sub_pair(t, u)) + [SKIP]
     # every member's table is compiled here: no grid step is a cold one
-    head = {v: (_tables.get(v) or _table(v))[HEAD] for v in universe}
+    head = {v: (v._table or _table(v))[HEAD] for v in universe}
     count = Counter(head.values())
     groups: Dict[type, List[Node]] = {}
     for a in count:
@@ -304,9 +300,10 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
          deadline: float) -> Tuple[bool, int, int, int]:
     """The search of ``inductive`` (*retract*: an assumption ends when its
     premises hold) and ``memoized`` (kept for the run), depth first in rule
-    order: the verdict, the visits, the assumptions held at the end and
-    the most held at once.  A pair is assumed before its step and holds
-    when met again.  When the search retracts, each stepped pair's
+    order: the verdict, the visits, the assumptions held at the end and,
+    when the search retracts, the most held at once (else 0).  A pair is
+    assumed before its step and holds when met again.  When the search
+    retracts, the open pairs are kept on a path, and each stepped pair's
     premises are kept for the search, so a pair met again after its
     assumption ended reads them back: :func:`_step` runs once per distinct
     pair, while the visit count stays exponential.  The deadline is read
@@ -316,7 +313,7 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
     # Each stepped pair's premises, kept for the search when it retracts:
     # only then can a pair be stepped again, and a refuted pair ends it.
     premises: Dict[Tuple[Node, Node], tuple] = {}
-    path: List[Tuple[Node, Node]] = []  # the open pairs, root first
+    path: List[Tuple[Node, Node]] = []  # the open pairs, if it retracts
     stack: list = []  # the premise iterator each open pair was taken from
     it = iter(((t, u),))
     visited = depth = tick = 0  # tick: entries left before the next read
@@ -331,11 +328,11 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
                 tick = _CLOCK_EVERY
             tick -= 1
             assumed.add(pair)
-            if len(assumed) > depth:
-                depth = len(assumed)
             stack.append(it)
-            path.append(pair)
             if retract:
+                if len(assumed) > depth:
+                    depth = len(assumed)
+                path.append(pair)
                 again = premises.get(pair)
                 if again is not None:  # end/end keeps (), which is falsy
                     it = iter(again)
@@ -350,11 +347,10 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
                 it = iter(it)
             break
         else:  # every premise of the last open pair holds
-            if not path:
+            if not stack:
                 return True, visited, len(assumed), depth
-            pair = path.pop()
             if retract:
-                assumed.discard(pair)
+                assumed.discard(path.pop())
             it = stack.pop()
 
 

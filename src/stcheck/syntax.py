@@ -10,7 +10,7 @@ Every node, of every kind, is made by one build step, ``_build(key)``: it
 sets the node's fields from its interning key, works out ``size``,
 ``cutoff``, ``has_fvar``, ``contractive`` and ``_kind`` (the constructor
 at the unfolded head; see :class:`TypeExpr`) in O(1) from the children,
-and interns the node.  Library callers construct through the
+leaves its head table ``_table`` empty and interns the node.  Library callers construct through the
 factory functions (``end``, ``var``, ``bvar``, ``rec``, ``mu``, ``inp``,
 ``out``, ``select``, ``branch``), which look the key up and validate their
 arguments only on a miss, before the build (a key that cannot be hashed,
@@ -91,9 +91,12 @@ class TypeExpr:
         index ``i`` seen from this node (a ``BoundVar``, or binders over
         one that points past them); ``None`` when unfolding would raise
         instead (a ``Var``, or a binder that is not contractive).
+    ``_table``
+        the head table of :mod:`stcheck.lts`, once compiled, else ``None``.
     """
 
-    __slots__ = ("size", "cutoff", "has_fvar", "contractive", "_kind")
+    __slots__ = ("size", "cutoff", "has_fvar", "contractive", "_kind",
+                 "_table")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {render(self)!r}>"
@@ -285,6 +288,7 @@ def _build(key: tuple):
     node.has_fvar = has_fvar
     node.contractive = contractive
     node._kind = kind
+    node._table = None
     return _interned.setdefault(key, node)
 
 
@@ -379,7 +383,7 @@ def free_names(t: TypeExpr) -> frozenset:
 
 def shift(t: TypeExpr, by: int) -> TypeExpr:
     """Add *by* to every dangling de Bruijn index."""
-    if by == 0:
+    if by == 0 or t.cutoff == 0:
         return t
     return _rewrite(t, BoundVar, lambda u, d: bvar(u.index + by))
 

@@ -2,9 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import stcheck
-from stcheck import cache_sizes, clear_caches, lts
+from stcheck import cache_sizes, clear_caches, lts, syntax
 from stcheck.bench import gen_blowup_family, random_pair
 from stcheck.subtyping import ALGORITHMS, check
 from stcheck.syntax import parse
@@ -47,7 +48,7 @@ def test_a_table_compiled_before_a_clear_matches_one_compiled_after():
         clear_caches()
         table = lts._table(left)
         clear_caches()
-        lts._tables[left] = table
+        left._table = table
         assert check(left, right, algo).verdict, algo
 
 
@@ -90,3 +91,72 @@ def test_a_check_refuted_at_the_root_compiles_nothing():
             clear_caches()
             assert not check(t, u, algo).verdict
             assert cache_sizes()["head_tables"] == 0, algo
+
+
+def holding_tables():
+    """The interned nodes whose head-table slot is set."""
+    return [node for node in syntax._interned.values()
+            if node._table is not None]
+
+
+def clear_all_slots():
+    """clear_caches, and empty a slot a test set by hand: such a table was
+    never listed, so no clear resets it."""
+    clear_caches()
+    for node in holding_tables():
+        node._table = None
+
+
+def check_random_pairs():
+    results = []
+    for i in range(300):
+        left, right = random_pair(i, 40)
+        for algo in ALGORITHMS:
+            report = check(left, right, algo)
+            results.append((report.verdict, report.counters))
+    return results
+
+
+def test_head_tables_counts_the_nodes_holding_a_table():
+    clear_all_slots()
+    check_random_pairs()
+    assert cache_sizes()["head_tables"] == len(holding_tables()) > 0
+    clear_caches()
+    assert cache_sizes()["head_tables"] == 0
+    assert holding_tables() == []
+
+
+def test_a_compiled_node_returns_its_table_and_lists_nothing():
+    clear_all_slots()
+    left, right = parse("rec X . ?[X].X"), parse("?[end].rec Y . ?[Y].Y")
+    tables = [lts._table(node) for node in (left, right)]
+    listed = cache_sizes()["head_tables"]
+    for node, table in zip((left, right), tables):
+        assert lts._table(node) is table is node._table
+    assert cache_sizes()["head_tables"] == listed
+
+
+def test_clearing_in_another_thread_changes_no_result():
+    # every node compiled while the other thread clears is listed after its
+    # slot is set, so the last clear still finds it
+    clear_all_slots()
+    serial = check_random_pairs()
+    clear_caches()
+    done = threading.Event()
+
+    def clear_until_done():
+        while not done.is_set():
+            clear_caches()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: more interleavings
+    clearer = threading.Thread(target=clear_until_done)
+    clearer.start()
+    try:
+        assert check_random_pairs() == serial
+    finally:
+        done.set()
+        clearer.join()
+        sys.setswitchinterval(interval)
+    clear_caches()
+    assert holding_tables() == []

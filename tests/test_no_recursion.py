@@ -6,8 +6,10 @@ source checks keep the pair graph to one breadth-first walk, the reports to
 one check path and the node attributes to one build step, one more
 keeps the one-binder unfolding step to the head compile and ``unfold``,
 one keeps the module-level caches to the three that ``cache_sizes``
-reports, of which ``clear_caches`` empties only the head tables, one
-keeps the test for no deadline to ``check``, one keeps the rows of
+reports, of which ``clear_caches`` resets only the head tables, one
+keeps the writes of a node's head-table slot to the compile, the build,
+the clear and ``SKIP``'s one table, one keeps the test for no deadline
+to ``check``, one keeps the rows of
 ``stcheck bench`` to one loop in the harness, one keeps binder bodies to
 the syntax and the subterm sets, and one keeps ``dataclasses`` out of the
 package.  The last three keep the public surface to what is documented
@@ -138,7 +140,7 @@ def test_one_unfolding_site_per_use():
 
 def module_caches():
     """(module, name) for each name bound at module level to an empty
-    ``{}``, ``dict()`` or ``set()``."""
+    ``{}``, ``[]``, ``dict()``, ``list()`` or ``set()``."""
     found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -151,7 +153,8 @@ def module_caches():
                 continue
             value = node.value
             empty = (isinstance(value, ast.Dict) and not value.keys) or (
-                called(value) in ("dict", "set") and not value.args
+                isinstance(value, ast.List) and not value.elts) or (
+                called(value) in ("dict", "list", "set") and not value.args
                 and not value.keywords)
             if empty:
                 found.update((path.stem, t.id) for t in targets
@@ -177,14 +180,15 @@ def package_reads(function):
 
 def test_every_module_cache_is_reported_and_cleared():
     # every cache is reported, so a long-lived process can watch it.
-    # clear_caches empties the head tables alone: the interned nodes and
-    # the action tuples carry identity (equal types, and heads of one
-    # shape, are one object), and the action tuples are keyed by shapes
-    # of interned heads, so they are bounded by the interning table
-    caches = {("syntax", "_interned"), ("lts", "_tables"),
+    # clear_caches resets the head tables alone, through the list of nodes
+    # compiled since the last clear: the interned nodes and the action
+    # tuples carry identity (equal types, and heads of one shape, are one
+    # object), and the action tuples are keyed by shapes of interned
+    # heads, so they are bounded by the interning table
+    caches = {("syntax", "_interned"), ("lts", "_compiled"),
               ("lts", "_action_tuples")}
     assert module_caches() == package_reads("cache_sizes") == caches
-    assert package_reads("clear_caches") == {("lts", "_tables")}
+    assert package_reads("clear_caches") == {("lts", "_compiled")}
     assert set(stcheck.cache_sizes()) == {"interned", "head_tables",
                                           "action_tuples"}
 
@@ -238,6 +242,18 @@ def test_one_node_builder():
                             for target in ast.walk(node)):
                 setters.add((path.stem, node.name))
     assert setters == {("syntax", "_build")}
+
+
+def test_one_writer_of_head_tables():
+    # a node's head table is memo state with one writer: _build empties
+    # the slot, lts._table fills it and lists the node, clear_caches
+    # empties the slots it lists, and SKIP's is set once at import.  A
+    # slot set anywhere else would be one clear_caches never resets
+    assert scopes(lambda node: isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and node.attr == "_table") == [
+        ("__init__", "clear_caches"), ("lts", "<module>"), ("lts", "_table"),
+        ("syntax", "_build")]
 
 
 def test_binder_bodies_read_only_by_syntax_and_subterms():

@@ -13,7 +13,7 @@ import pytest
 
 import stcheck
 from helpers import weaken
-from stcheck import cache_sizes, clear_caches, lts, subtyping
+from stcheck import cache_sizes, clear_caches, subtyping
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import NotContractiveError, OpenTypeError, StcheckError
 from stcheck.lts import (
@@ -618,7 +618,7 @@ def test_a_binder_chain_shares_one_table():
     head = unfold(t)
     table = _table(t)
     assert table[HEAD] is head
-    assert lts._tables[t] is lts._tables[inner] is lts._tables[head] is table
+    assert t._table is inner._table is head._table is table
     assert cache_sizes()["head_tables"] == 3
 
 

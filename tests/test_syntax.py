@@ -282,6 +282,23 @@ def test_traversal_results_are_pinned():
                       "5d04bb5d")
 
 
+def test_shift_returns_a_closed_term_without_a_rewrite(monkeypatch):
+    # unfolding a binder shifts the binder itself at every index it
+    # replaces; a closed term has no dangling index to move
+    rewrites = []
+    rewrite = syntax._rewrite
+    monkeypatch.setattr(syntax, "_rewrite",
+                        lambda *args: rewrites.append(args) or rewrite(*args))
+    closed = [t for i in range(50) for t in random_pair(i, 40)]
+    closed += [parse(T1_TEXT), parse("rec X . ?[X].X"), end()]
+    for t in closed:
+        assert shift(t, 5) is t
+    assert rewrites == []
+    body = parse("rec X . ?[X].X").body  # dangling index 0
+    assert shift(body, 5) is inp([bvar(5)], bvar(5))
+    assert len(rewrites) == 1
+
+
 def test_comments_and_whitespace():
     t = parse("# interface\nrec X .\n  +{ respond: ?[end].X, # loop\n     exit: end }")
     assert t is parse(T1_TEXT)
