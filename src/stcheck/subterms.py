@@ -1,15 +1,17 @@
 """Bottom-up and top-down subterm sets.
 
 Top-down subterms treat recursion by unfolding: the subterms of a binder
-are the binder itself plus the subterms of its one-step unfolding.  On
-contractive input the set is finite because repeated unfoldings are
-recognised as already-interned values.
+are the binder itself plus the subterms of its one-step unfolding, which
+is read from the binder's head table (:mod:`stcheck.lts`, compiled if
+missing) when it is the head.  On contractive input the set is finite
+because repeated unfoldings are recognised as already-interned values.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, KeysView
 
+from .lts import HEAD, _table
 from .syntax import Rec, TypeExpr, _children, subst_top
 
 __all__ = ["sub_bottom_up", "sub_top_down", "sub_pair"]
@@ -52,20 +54,23 @@ def _top_down(*roots: TypeExpr) -> Dict[TypeExpr, None]:
         if u in seen:
             continue
         seen[u] = None
-        if type(u) is Rec:
-            stack.append(subst_top(u.body, u))
-        else:
+        if type(u) is not Rec:
             stack.extend(_children(u))
+        elif type(u.body) is u._kind:  # contractive: unfolds to its head
+            stack.append((u._table or _table(u))[HEAD])
+        else:  # a chain, not contractive, or over a variable
+            stack.append(subst_top(u.body, u))
     return seen
 
 
 def sub_top_down(t: TypeExpr) -> FrozenSet[TypeExpr]:
     """Least set containing *t* and closed under the unfolding-style
-    subterm equations."""
+    subterm equations; the walk fills ``clear_caches``'s head tables."""
     return frozenset(_top_down(t))
 
 
 def sub_pair(t: TypeExpr, u: TypeExpr) -> KeysView[TypeExpr]:
     """The union of both top-down subterm sets, in walk order, so that the
-    allpairs grid built on it does not hang on object addresses."""
+    allpairs grid built on it does not hang on object addresses; the grid
+    finds the tables of the binders the walk unfolded already compiled."""
     return _top_down(t, u).keys()

@@ -232,41 +232,48 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: float):
     pair's moves times the multiplicities of its two heads).
 
     Predecessor lists are kept only from the first doomed cell on, in
-    grid order: before it there is nothing to propagate.  If the grid has
-    a doomed cell, the cells before the first one are stepped again, once,
-    to record their edges; if it has none, no list is built at all."""
+    grid order: before it there is nothing to propagate, and successors
+    are tested on ``_kind``, a compiled member's head's constructor.  If
+    the grid has a doomed cell, the cells before the first one are
+    stepped again, once, to record their edges; none are built otherwise."""
     universe = list(sub_pair(t, u)) + [SKIP]
     # every member's table is compiled here: no grid step is a cold one
     head = {v: (v._table or _table(v))[HEAD] for v in universe}
     count = Counter(head.values())
-    groups: Dict[type, List[Node]] = {}
-    for a in count:
-        groups.setdefault(type(a), []).append(a)
+    groups: Dict[type, List[Tuple[Node, int]]] = {}
+    for a, n in count.items():
+        groups.setdefault(type(a), []).append((a, n))
     doomed: Set[Tuple[Node, Node]] = set()
     reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
     edges = 0
-    for a in count:
+    for a, m in count.items():
         if time.perf_counter() > deadline:
             raise DeadlineExceeded
-        for b in groups[type(a)]:
-            node = (a, b)
+        for b, n in groups[type(a)]:
             moves = _step(a, b)
             if moves is None:
-                doomed.add(node)
+                doomed.add((a, b))
                 continue
             acts, pairs = moves
-            edges += len(acts) * count[a] * count[b]
+            edges += len(acts) * m * n
+            if not doomed:  # keep nothing: a member's _kind is its head's
+                for x, y in pairs:
+                    if x._kind is not y._kind:
+                        doomed.add((a, b))
+                        break
+                continue
+            node = (a, b)
             for x, y in pairs:
                 x, y = head[x], head[y]
                 if type(x) is not type(y):
                     doomed.add(node)
-                elif doomed:  # before the first doomed cell, keep nothing
+                else:
                     reverse.setdefault((x, y), []).append(node)
     if doomed:  # step the cells before the first doomed one again
         for a in count:
             if time.perf_counter() > deadline:
                 raise DeadlineExceeded
-            for b in groups[type(a)]:
+            for b, _ in groups[type(a)]:
                 node = (a, b)
                 if node in doomed:
                     break

@@ -1,9 +1,9 @@
 """Shared test data and references: the paper's three example types, a
 syntactic widening used to build likely subtype chains, the moves of an
-LTS node read off its unfolding, and the quadratic fit of the acceptance
-gate.  A plain module, not part of ``conftest.py``, so that test files can
-import it by name while other test directories bring their own
-``conftest``."""
+LTS node read off its unfolding, the top-down subterms read off
+substitution alone, and the quadratic fit of the acceptance gate.  A
+plain module, not part of ``conftest.py``, so that test files can import
+it by name while other test directories bring their own ``conftest``."""
 
 import random
 from typing import Sequence, Tuple
@@ -14,7 +14,7 @@ from stcheck.lts import (
 )
 from stcheck.syntax import (
     TypeExpr, Branch, End, Input, Output, Rec, Select,
-    branch, end, inp, out, rec, select, unfold,
+    _children, branch, end, inp, out, rec, select, subst_top, unfold,
 )
 
 T1_TEXT = "rec X . +{ respond: ?[end].X, exit: end }"
@@ -67,6 +67,21 @@ def expected_edges(node) -> dict:
         return edges
     label = sel_label if isinstance(head, Select) else bra_label
     return {label(l): b for l, b in head.branches}
+
+
+def top_down_reference(*roots: TypeExpr) -> list:
+    """The top-down subterms of *roots* in ``sub_pair``'s walk order, each
+    binder unfolded by ``subst_top`` alone: a reference for the walk, which
+    takes a binder's unfolding from its head table where it can."""
+    seen = {}
+    stack = list(reversed(roots))
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen[u] = None
+            stack.extend([subst_top(u.body, u)] if type(u) is Rec
+                         else _children(u))
+    return list(seen)
 
 
 def fit_quadratic(ks: Sequence[int], ys: Sequence[int]) -> Tuple[float, float]:

@@ -136,6 +136,16 @@ def test_one_unfolding_site_per_use():
     # constructors unfolds nothing, and no module keeps heads of its own
     assert callers("_unfold_once") == [("lts", "_table"), ("syntax", "unfold")]
     assert callers("unfold") == []
+    # the subterm walk takes a binder's unfolding from its head table when
+    # the unfolding is the head, and substitutes only where it is not, so
+    # the allpairs grid finds those tables compiled: no new unfolding or
+    # compile site can creep in unnoticed
+    assert callers("subst_top") == [("subterms", "_top_down"),
+                                    ("subterms", "sub_bottom_up"),
+                                    ("syntax", "_unfold_once")]
+    assert callers("_table") == [("lts", "build_lts"), ("subterms", "_top_down"),
+                                 ("subtyping", "_step"), ("subtyping", "_step"),
+                                 ("subtyping", "_sweep")]
 
 
 def module_caches():

@@ -1,7 +1,12 @@
-from stcheck.bench import GenConfig, gen_random
+from helpers import top_down_reference
+from stcheck import clear_caches
+from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.lts import SKIP, build_lts
 from stcheck.subterms import sub_bottom_up, sub_pair, sub_top_down
-from stcheck.syntax import end, free_names, inp, parse, select, size, unfold, var
+from stcheck.subtyping import ALGORITHMS, check
+from stcheck.syntax import (
+    bvar, end, free_names, inp, parse, rec, select, size, unfold, var,
+)
 
 
 def test_sub_bottom_up_atomic():
@@ -79,3 +84,40 @@ def test_shared_dag_is_walked_once_per_node():
     assert free_names(b) == frozenset({"X"})
     subterms = sub_bottom_up(b)
     assert len(subterms) == 41 and var("X") in subterms
+
+
+def test_sub_top_down_of_binders_without_a_closed_head():
+    # the walk takes a binder's unfolding from its head table only when the
+    # binder is contractive and its body no binder: a binder over itself or
+    # a variable has no table, and one with a dangling index or a free
+    # variable in its payloads unfolds to its head all the same
+    loop, free = rec(bvar(0)), rec(var("Y"))
+    open_payload = parse("rec X . ?[Y].X")
+    dangling = rec(inp([bvar(1)], bvar(0)))
+    expected = {
+        loop: {loop},
+        free: {free, var("Y")},
+        open_payload: {open_payload, inp([var("Y")], open_payload), var("Y")},
+        dangling: {dangling, inp([bvar(0)], dangling), bvar(0)},
+    }
+    for t, members in expected.items():
+        clear_caches()
+        assert sub_top_down(t) == frozenset(members)
+        assert list(sub_pair(t, t)) == top_down_reference(t)
+
+
+def subterm_pairs():
+    yield from (random_pair(i, 40) for i in range(500))
+    yield from (gen_blowup_family(k) for k in range(1, 9))
+    yield parse("rec X . rec Y . ?[X].Y"), parse("rec X . rec Y . ?[X].Y")
+
+
+def test_sub_pair_matches_the_substituting_walk():
+    # the same members in the same order, whether the binders' head tables
+    # are cold or every algorithm has compiled them
+    for t, u in subterm_pairs():
+        clear_caches()
+        assert list(sub_pair(t, u)) == top_down_reference(t, u)
+        for algorithm in ALGORITHMS:
+            check(t, u, algorithm)
+        assert list(sub_pair(t, u)) == top_down_reference(t, u)
