@@ -14,9 +14,10 @@ relation:
   the search and read back when the pair is met again off the path.
 * ``memoized``   -- the same search with one assumption set threaded
   through all premises in sequence; the first failing premise aborts.
-  Both run in :func:`_dfs`, one loop over an explicit stack of premise
-  iterators, so depth is bounded by memory, not the recursion limit; the
-  path of open pairs is kept only by ``inductive``, which retracts them.
+  Each runs in a loop over an explicit stack of premise iterators, so
+  depth is bounded by memory, not the recursion limit: ``inductive`` in
+  :func:`_dfs`, which keeps the path of open pairs to retract them, and
+  ``memoized`` in :func:`_memoized`, which keeps every assumption.
 * ``product``    -- lazy reachability on the pair graph of the two type
   LTSs: the left type is a subtype iff no inconsistent pair is reachable
   from the root pair (quadratic).  :func:`_pairs` is the one walk of the
@@ -31,15 +32,27 @@ relation:
   as every ``exp`` pair's, builds none).  ``product_edges`` still counts
   the moves of every cell of the grid.
 
-The two walks, :func:`_pairs` and :func:`_dfs`, read the deadline
-(``math.inf`` if :func:`check` got none) before their first unit and then
-once per ``_CLOCK_EVERY`` units: a dequeued pair in :func:`_pairs`, an
-entered pair in :func:`_dfs` (one not assumed when met, whether it is
-stepped or reads its kept premises back).  A unit is at most one step, and
-a cold step compiles at most its two heads' tables, so a search runs at
-most ``_CLOCK_EVERY`` units past its deadline.  Met pairs that are already
-assumed cost O(1) and are no units: each entered pair adds at most its
-move count of them.
+``product`` and ``memoized`` keep every pair they reach, quadratically
+many, in one pair store: a dict from each left node to its one right
+node, or to the set of its right nodes once it has a second.  A pair
+then costs a slot, not a 2-tuple of its own that the cyclic garbage
+collector tracks and rescans, and under half the memory (see the
+README).  Both walks insert into it inline, since they do so once per
+met pair, and test a left node's entry in the order ``None``, ``is``,
+set, which costs least where nearly every left node has one right node.
+``inductive`` keeps a plain set of pair tuples: it only ever holds the
+open path, and its exponentially many visits test it faster than they
+would the store.
+
+The three walks, :func:`_pairs`, :func:`_dfs` and :func:`_memoized`,
+read the deadline (``math.inf`` if :func:`check` got none) before their
+first unit and then once per ``_CLOCK_EVERY`` units: a dequeued pair in
+:func:`_pairs`, an entered pair in the other two (one not assumed when
+met, whether it is stepped or reads its kept premises back).  A unit is
+at most one step, and a cold step compiles at most its two heads' tables,
+so a search runs at most ``_CLOCK_EVERY`` units past its deadline.  Met
+pairs that are already assumed cost O(1) and are no units: each entered
+pair adds at most its move count of them.
 
 The subtyping rules are written once, in :func:`_step`.  It maps a pair
 to ``None`` when the pair is inconsistent (different head constructors,
@@ -94,8 +107,8 @@ __all__ = [
 ]
 
 # The pair walks read the clock once per this many units (a dequeued pair
-# in _pairs, an entered pair in _dfs), not once per unit: on CPython a read
-# is a sizeable share of the cost of a warm step.
+# in _pairs, an entered pair in _dfs and _memoized), not once per unit: on
+# CPython a read is a sizeable share of the cost of a warm step.
 _CLOCK_EVERY = 64
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
@@ -183,17 +196,18 @@ def product_successors(p: ProductNode) -> List[Tuple[Action, ProductNode]]:
     return [(a, ProductNode(*q)) for a, q in zip(acts, pairs)]
 
 
-def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
+def _pairs(t: TypeExpr, u: TypeExpr, reached: Dict[Node, object],
            deadline: float):
     """The breadth-first walk of the pair graph from ``(t, u)``, moves in
-    Action order.  Every pair reached is added to *seen*.  Yields each
-    inconsistent pair when it is dequeued, without expanding it, and
-    ``None`` at the end, each with the moves of the pairs expanded so
-    far.  The deadline is read before the first dequeued pair and then
-    once per ``_CLOCK_EVERY`` of them."""
-    root = (t, u)
-    seen.add(root)
-    queue = deque((root,))
+    Action order.  Every pair reached is kept in *reached*, the pair store
+    of the module docstring.  Yields each inconsistent pair when it is
+    dequeued, without expanding it, and ``None`` at the end, each with the
+    pairs reached and the moves of the pairs expanded so far.  The deadline
+    is read before the first dequeued pair and then once per
+    ``_CLOCK_EVERY`` of them."""
+    reached[t] = u
+    queue = deque(((t, u),))
+    nodes = 1
     edges = tick = 0  # tick: dequeued pairs left before the next clock read
     while queue:
         if not tick:
@@ -204,23 +218,33 @@ def _pairs(t: TypeExpr, u: TypeExpr, seen: Set[Tuple[Node, Node]],
         pair = queue.popleft()
         moves = _step(pair[0], pair[1], CONT_FIRST)
         if moves is None:
-            yield pair, edges
+            yield pair, nodes, edges
             continue
         acts, pairs = moves
         edges += len(acts)
         for q in pairs:
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    yield None, edges
+            x, y = q
+            got = reached.get(x)
+            if got is None:
+                reached[x] = y
+            elif got is y:
+                continue
+            elif type(got) is set:
+                if y in got:
+                    continue
+                got.add(y)
+            else:
+                reached[x] = {got, y}
+            nodes += 1
+            queue.append(q)
+    yield None, nodes, edges
 
 
 def _product(t: TypeExpr, u: TypeExpr, deadline: float):
     """Lazy breadth-first search of the reachable pair graph; refutes as
     soon as an inconsistent pair is dequeued."""
-    seen: Set[Tuple[Node, Node]] = set()
-    bad, edges = next(_pairs(t, u, seen, deadline))
-    return bad is None, {"product_nodes": len(seen), "product_edges": edges}
+    bad, nodes, edges = next(_pairs(t, u, {}, deadline))
+    return bad is None, {"product_nodes": nodes, "product_edges": edges}
 
 
 def _sweep(t: TypeExpr, u: TypeExpr, deadline: float):
@@ -303,24 +327,24 @@ def _allpairs(t: TypeExpr, u: TypeExpr, deadline: float):
                          "product_edges": edges}
 
 
-def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
-         deadline: float) -> Tuple[bool, int, int, int]:
-    """The search of ``inductive`` (*retract*: an assumption ends when its
-    premises hold) and ``memoized`` (kept for the run), depth first in rule
-    order: the verdict, the visits, the assumptions held at the end and,
-    when the search retracts, the most held at once (else 0).  A pair is
-    assumed before its step and holds when met again.  When the search
-    retracts, the open pairs are kept on a path, and each stepped pair's
-    premises are kept for the search, so a pair met again after its
-    assumption ended reads them back: :func:`_step` runs once per distinct
-    pair, while the visit count stays exponential.  The deadline is read
-    before the first entered pair (one not assumed when met, re-entries of
-    kept premises included) and then once per ``_CLOCK_EVERY`` of them."""
-    assumed: Set[Tuple[Node, Node]] = set()
-    # Each stepped pair's premises, kept for the search when it retracts:
-    # only then can a pair be stepped again, and a refuted pair ends it.
-    premises: Dict[Tuple[Node, Node], tuple] = {}
-    path: List[Tuple[Node, Node]] = []  # the open pairs, if it retracts
+def _dfs(t: TypeExpr, u: TypeExpr,
+         deadline: float) -> Tuple[bool, int, int]:
+    """The search of ``inductive``, depth first in rule order: the verdict,
+    the visits and the most assumptions held at once.  A pair is assumed
+    before its step, holds when met again on its path, and its assumption
+    ends when its premises hold, so the assumed pairs are exactly the open
+    path, at most ``max_context_depth`` of them.  They are kept as a set of
+    pair tuples, not in the store of :func:`_pairs`: the set stays small,
+    and each of the exponentially many visits tests it with one lookup.
+    Each stepped pair's premises are kept for the search, so a pair met
+    again after its assumption ended reads them back: :func:`_step` runs
+    once per distinct pair, while the visit count stays exponential.  The
+    deadline is read before the first entered pair (one not assumed when
+    met, re-entries of kept premises included) and then once per
+    ``_CLOCK_EVERY`` of them."""
+    assumed: Set[Tuple[Node, Node]] = set()  # the pairs on the path
+    premises: Dict[Tuple[Node, Node], tuple] = {}  # a refuted pair ends it
+    path: List[Tuple[Node, Node]] = []  # the open pairs, in order
     stack: list = []  # the premise iterator each open pair was taken from
     it = iter(((t, u),))
     visited = depth = tick = 0  # tick: entries left before the next read
@@ -336,28 +360,23 @@ def _dfs(t: TypeExpr, u: TypeExpr, retract: bool,
             tick -= 1
             assumed.add(pair)
             stack.append(it)
-            if retract:
-                if len(assumed) > depth:
-                    depth = len(assumed)
-                path.append(pair)
-                again = premises.get(pair)
-                if again is not None:  # end/end keeps (), which is falsy
-                    it = iter(again)
-                    break
-            moves = _step(pair[0], pair[1])
-            if moves is None:
-                return False, visited, len(assumed), depth
-            # end/end is an axiom here: the terminal pair is no premise
-            it = () if moves[0] is _END_ACTS else moves[1]
-            if retract:
-                premises[pair] = it = tuple(it)
-                it = iter(it)
+            if len(assumed) > depth:
+                depth = len(assumed)
+            path.append(pair)
+            again = premises.get(pair)
+            if again is None:
+                moves = _step(pair[0], pair[1])
+                if moves is None:
+                    return False, visited, depth
+                # end/end is an axiom here: the terminal pair is no premise
+                again = premises[pair] = (
+                    () if moves[0] is _END_ACTS else tuple(moves[1]))
+            it = iter(again)
             break
         else:  # every premise of the last open pair holds
             if not stack:
-                return True, visited, len(assumed), depth
-            if retract:
-                assumed.discard(path.pop())
+                return True, visited, depth
+            assumed.discard(path.pop())
             it = stack.pop()
 
 
@@ -368,16 +387,56 @@ def _inductive(t: TypeExpr, u: TypeExpr, deadline: float):
     premise restarts from the same extended context, so work done in one
     sibling is never reused in the next.
     """
-    verdict, visited, _, depth = _dfs(t, u, True, deadline)
+    verdict, visited, depth = _dfs(t, u, deadline)
     return verdict, {"judgements_visited": visited, "max_context_depth": depth}
 
 
 def _memoized(t: TypeExpr, u: TypeExpr, deadline: float):
     """The same search with a single assumption set threaded through all
     premises; any failing premise aborts the whole run (no negative
-    caching, assumptions are never retracted)."""
-    verdict, visited, entries, _ = _dfs(t, u, False, deadline)
-    return verdict, {"memo_entries": entries, "judgements_visited": visited}
+    caching, assumptions are never retracted).
+
+    The loop of :func:`_dfs` without its path: the assumptions are kept
+    for the run, in the pair store of the module docstring.  The deadline
+    is read before the first entered pair (one not assumed when met) and
+    then once per ``_CLOCK_EVERY`` of them."""
+    assumed: Dict[Node, object] = {}
+    stack: list = []  # the premise iterator each open pair was taken from
+    it = iter(((t, u),))
+    visited = entries = tick = 0  # tick: entries left before the next read
+    while True:
+        for x, y in it:
+            visited += 1
+            got = assumed.get(x)
+            if got is None:
+                assumed[x] = y
+            elif got is y:
+                continue
+            elif type(got) is set:
+                if y in got:
+                    continue
+                got.add(y)
+            else:
+                assumed[x] = {got, y}
+            entries += 1
+            if not tick:
+                if time.perf_counter() > deadline:
+                    raise DeadlineExceeded
+                tick = _CLOCK_EVERY
+            tick -= 1
+            stack.append(it)
+            moves = _step(x, y)
+            if moves is None:
+                return False, {"memo_entries": entries,
+                               "judgements_visited": visited}
+            # end/end is an axiom here: the terminal pair is no premise
+            it = () if moves[0] is _END_ACTS else moves[1]
+            break
+        else:  # every premise of the last open pair holds
+            if not stack:
+                return True, {"memo_entries": entries,
+                              "judgements_visited": visited}
+            it = stack.pop()
 
 
 # Each search maps (t, u, deadline) to (verdict, counters).
@@ -433,8 +492,10 @@ def export_product_dot(t: TypeExpr, u: TypeExpr) -> str:
     """DOT digraph of the reachable pair graph; inconsistent pairs are
     filled red and not expanded further."""
     _require_closed(t, u)
-    seen: Set[Tuple[Node, Node]] = set()
-    bad = {pair for pair, _ in _pairs(t, u, seen, math.inf)}
-    graph = {p: product_successors(p) for p in seen}
+    reached: Dict[Node, object] = {}
+    bad = {pair for pair, _, _ in _pairs(t, u, reached, math.inf)}
+    graph = {(x, y): product_successors((x, y))
+             for x, right in reached.items()
+             for y in (right if type(right) is set else (right,))}
     return _dot("product", (t, u), graph, _pair_label,
                 ("doubleoctagon", "box"), bad)

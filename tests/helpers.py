@@ -1,17 +1,20 @@
 """Shared test data and references: the paper's three example types, a
 syntactic widening used to build likely subtype chains, the moves of an
 LTS node read off its unfolding, the top-down subterms read off
-substitution alone, and the quadratic fit of the acceptance gate.  A
-plain module, not part of ``conftest.py``, so that test files can import
-it by name while other test directories bring their own ``conftest``."""
+substitution alone, the pair walks over a plain set of pair tuples, and
+the quadratic fit of the acceptance gate.  A plain module, not part of
+``conftest.py``, so that test files can import it by name while other
+test directories bring their own ``conftest``."""
 
 import random
+from collections import deque
 from typing import Sequence, Tuple
 
 from stcheck.lts import (
-    SKIP, act_end, act_in_cont, act_out_cont, bra_label, in_payload,
-    out_payload, sel_label,
+    CONT_FIRST, SKIP, _END_ACTS, _dot, act_end, act_in_cont, act_out_cont,
+    bra_label, in_payload, out_payload, sel_label,
 )
+from stcheck.subtyping import _pair_label, _step, product_successors
 from stcheck.syntax import (
     TypeExpr, Branch, End, Input, Output, Rec, Select,
     _children, branch, end, inp, out, rec, select, subst_top, unfold,
@@ -82,6 +85,53 @@ def top_down_reference(*roots: TypeExpr) -> list:
             stack.extend([subst_top(u.body, u)] if type(u) is Rec
                          else _children(u))
     return list(seen)
+
+
+def set_walks(t: TypeExpr, u: TypeExpr, export: bool = True) -> dict:
+    """The ``product`` walk, its DOT export and the ``memoized`` search of
+    ``(t, u)``, each keeping the pairs it reaches as a plain set of pair
+    tuples: a reference for ``subtyping``, which keeps them per left node.
+    Both step with ``subtyping._step`` and visit in the searches' orders;
+    returns the verdicts, the counters and, if *export*, the export's
+    text (else ``None``: its labels grow fast with the types' size)."""
+    seen = {(t, u)}
+    queue = deque(seen)
+    bad = set()
+    edges = 0
+    stop = None  # the counters when the first inconsistent pair is dequeued
+    while queue:
+        pair = queue.popleft()
+        moves = _step(*pair, CONT_FIRST)
+        if moves is None:
+            bad.add(pair)
+            stop = stop or (len(seen), edges)
+            continue
+        edges += len(moves[0])
+        for q in moves[1]:
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    nodes, edges = stop or (len(seen), edges)
+    dot = _dot("product", (t, u), {p: product_successors(p) for p in seen},
+               _pair_label, ("doubleoctagon", "box"), bad) if export else None
+    assumed = set()
+    stack = [iter(((t, u),))]
+    visited, holds = 0, True
+    while stack and holds:
+        for pair in stack[-1]:
+            visited += 1
+            if pair not in assumed:
+                assumed.add(pair)
+                moves = _step(*pair)
+                holds = moves is not None
+                if holds:  # end/end is an axiom: it has no premises
+                    stack.append(iter(() if moves[0] is _END_ACTS
+                                      else moves[1]))
+                break
+        else:
+            stack.pop()
+    return {"product": (stop is None, nodes, edges),
+            "memoized": (holds, len(assumed), visited), "dot": dot}
 
 
 def fit_quadratic(ks: Sequence[int], ys: Sequence[int]) -> Tuple[float, float]:

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import stcheck
 from stcheck import cache_sizes, clear_caches, lts, syntax
@@ -160,3 +162,23 @@ def test_clearing_in_another_thread_changes_no_result():
         sys.setswitchinterval(interval)
     clear_caches()
     assert holding_tables() == []
+
+
+def test_a_warm_check_traces_at_most_64_bytes_per_reached_pair():
+    # product and memoized keep a reached pair in a slot of its left node's
+    # entry, not as a 2-tuple in a set (over 100 B a pair); the bound
+    # counts bytes allocated, not time
+    left, right = gen_blowup_family(200)
+    for algo, unit in (("product", "product_nodes"),
+                       ("memoized", "memo_entries")):
+        check(left, right, algo)  # warm: every head table is compiled
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = check(left, right, algo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = report.counters[unit]
+        assert pairs == 200 * 201, algo
+        assert peak <= 64 * pairs, (algo, peak / pairs)

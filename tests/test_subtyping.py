@@ -13,7 +13,7 @@ import time
 import pytest
 
 import stcheck
-from helpers import weaken
+from helpers import set_walks, weaken
 from stcheck import cache_sizes, clear_caches, subtyping, syntax
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import NotContractiveError, OpenTypeError, StcheckError
@@ -279,10 +279,6 @@ def test_a_grid_member_s_kind_is_its_head_constructor():
     for t, u in pairs:
         for v in [*sub_pair(t, u), SKIP]:
             assert v._kind is type(_table(v)[HEAD]), v
-    # the pairs above leave many objects in the oldest generation: collect
-    # them here, not in the timed checks of the deadline tests that follow,
-    # where a full collection of the suite's heap takes 0.3-0.8 s
-    gc.collect()
 
 
 def test_allpairs_unfolds_each_binder_once(monkeypatch):
@@ -312,6 +308,9 @@ def test_allpairs_deadline_overshoot_is_bounded():
     # 90 ms, and a faster machine may take under 50 ms, so the deadline is
     # the 10 ms of the other searches' overshoot test
     left, right = gen_blowup_family(200)
+    # a full collection of the objects earlier tests left behind takes as
+    # long as the bound: collect them before the timed check, not in it
+    gc.collect()
     start = time.perf_counter()
     with pytest.raises(DeadlineExceeded):
         check(left, right, "allpairs", deadline=start + 0.01)
@@ -321,6 +320,7 @@ def test_allpairs_deadline_overshoot_is_bounded():
 def test_search_deadline_overshoot_is_bounded():
     for algo, k in (("product", 200), ("memoized", 200), ("inductive", 16)):
         left, right = gen_blowup_family(k)
+        gc.collect()  # as in the test above
         start = time.perf_counter()
         with pytest.raises(DeadlineExceeded):
             check(left, right, algo, deadline=start + 0.01)
@@ -747,6 +747,34 @@ def test_near_miss_pairs_agree_with_the_oracle():
         for algo in ALGORITHMS:
             assert check(t, u, algo).verdict == expected, (t, u, algo)
     assert (len(pairs), true) == (3000, 2118)
+
+
+def test_the_per_left_store_matches_a_set_of_pair_tuples():
+    # product and memoized keep a left node's one right node, or the set
+    # of them from its second: random pairs reach nearly one right node per
+    # left node, exp k up to k + 1, and the near-miss pairs are deep; the
+    # export's labels outgrow the pairs on exp, so it is compared to k = 8
+    pairs = [random_pair(i, 40) for i in range(2000)]
+    for s in range(1500):
+        t = gen_random(GenConfig(seed=s, max_size=30))
+        pairs.append((t, weaken(t, random.Random(s))))
+    cases = [(pair, True) for pair in pairs]
+    cases += [(gen_blowup_family(k), k <= 8) for k in range(1, 21)]
+    for (left, right), export in cases:
+        for t, u in ((left, right), (right, left)):
+            want = set_walks(t, u, export)
+            product = check(t, u, "product")
+            memo = check(t, u, "memoized")
+            assert (product.verdict, product.counters["product_nodes"],
+                    product.counters["product_edges"]) == want["product"]
+            assert (memo.verdict, memo.counters["memo_entries"],
+                    memo.counters["judgements_visited"]) == want["memoized"]
+            if want["dot"]:
+                assert export_product_dot(t, u) == want["dot"], (t, u)
+    # on exp the left nodes meet several right nodes each: the sets are used
+    left, right = gen_blowup_family(20)
+    assert (check(left, right, "product").counters["product_nodes"]
+            > len(sub_top_down(left)))
 
 
 def test_reflexivity_random():
