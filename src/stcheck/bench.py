@@ -158,9 +158,10 @@ CSV_COLUMNS = ("family", "k", "size_left", "size_right", "algorithm",
 def run_bench(family: str, kmax: int, algorithms: Sequence[str],
               timeout: float = DEFAULT_TIMEOUT) -> List[list]:
     """The CSV rows for k = 1 .. kmax, ordered by k and then by algorithm
-    name; on ``exp``, inductive runs only up to DEFAULT_KMAX_INDUCTIVE.  A
-    check that passes its deadline is a row with verdict 0, zero counters
-    and timed_out 1, not an exception."""
+    name, one per k and algorithm however often it is named; on ``exp``,
+    inductive runs only up to DEFAULT_KMAX_INDUCTIVE.  A check that passes
+    its deadline is a row with verdict 0, zero counters and timed_out 1,
+    not an exception."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")
     if kmax < 1:
@@ -168,7 +169,7 @@ def run_bench(family: str, kmax: int, algorithms: Sequence[str],
     rows = []
     for k in range(1, kmax + 1):
         left, right = FAMILIES[family](k)
-        for algo in sorted(algorithms):
+        for algo in sorted(set(algorithms)):
             if algo == "inductive" and family == "exp" \
                     and k > DEFAULT_KMAX_INDUCTIVE:
                 continue

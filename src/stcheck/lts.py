@@ -7,7 +7,9 @@ Each unfolded head is compiled once, on first use, into a table: its kind,
 its payload arity or label tuple, its actions and successors in two
 orders, rule order (``RULE``: payloads before the continuation) and
 :class:`Action` order (``CONT_FIRST``: the continuation first), and the
-head (``HEAD``).  The table sits in the node's ``_table`` slot, as it
+head (``HEAD``).  Rule-order successors are the premises of the head's
+subtyping rule: ``end``, an axiom, has none, and moves to ``SKIP`` only
+in Action order.  The table sits in the node's ``_table`` slot, as it
 does in every binder stripped on the way, so a type and its unfoldings
 share one: the slots are the one map from a node to its head.  Each
 compiled node is listed in ``_compiled``, whose slots ``clear_caches``
@@ -102,7 +104,8 @@ def action_name(a: Action) -> str:
 
 
 # A compiled head: (kind, arity or label tuple, actions and successors in
-# rule order, actions and successors in Action order, the head).
+# rule order (the rule's premises: none for end), actions and successors
+# in Action order, the head).
 Table = Tuple[type, object, Tuple[Action, ...], Tuple[Node, ...],
               Tuple[Action, ...], Tuple[Node, ...], Node]
 
@@ -156,7 +159,7 @@ def _compile(head: TypeExpr) -> Table:
                            or _share_actions(kind, labels))
         return (kind, labels, acts, succ, acts, succ, head)
     if kind is End:
-        return (End, None, _END_ACTS, (SKIP,), _END_ACTS, (SKIP,), head)
+        return (End, None, _END_ACTS, (), _END_ACTS, (SKIP,), head)
     raise OpenTypeError(f"type has free variables: {render(head)}")
 
 

@@ -14,9 +14,9 @@ relation:
   the search and read back when the pair is met again off the path.
 * ``memoized``   -- the same search with one assumption set threaded
   through all premises in sequence; the first failing premise aborts.
-  Each runs in a loop over an explicit stack of premise iterators, so
+  Each runs in a loop over the premise iterators of its open pairs, so
   depth is bounded by memory, not the recursion limit: ``inductive`` in
-  :func:`_dfs`, which keeps the path of open pairs to retract them, and
+  :func:`_inductive`, which keeps the open path to retract it, and
   ``memoized`` in :func:`_memoized`, which keeps every assumption.
 * ``product``    -- lazy reachability on the pair graph of the two type
   LTSs: the left type is a subtype iff no inconsistent pair is reachable
@@ -40,11 +40,11 @@ collector tracks and rescans, and under half the memory (see the
 README).  Both walks insert into it inline, since they do so once per
 met pair, and test a left node's entry in the order ``None``, ``is``,
 set, which costs least where nearly every left node has one right node.
-``inductive`` keeps a plain set of pair tuples: it only ever holds the
+``inductive`` keeps a plain dict of pair tuples: it only ever holds the
 open path, and its exponentially many visits test it faster than they
 would the store.
 
-The three walks, :func:`_pairs`, :func:`_dfs` and :func:`_memoized`,
+The three walks, :func:`_pairs`, :func:`_inductive` and :func:`_memoized`,
 read the deadline (``math.inf`` if :func:`check` got none) before their
 first unit and then once per ``_CLOCK_EVERY`` units: a dequeued pair in
 :func:`_pairs`, an entered pair in the other two (one not assumed when
@@ -59,8 +59,9 @@ to ``None`` when the pair is inconsistent (different head constructors,
 different payload arities, a branching label of the left or a selection
 label of the right missing on the other side) and otherwise to the
 matched moves, which are the premises of the rule.  Output payloads swap
-the pair (contravariance); ``end``/``end`` steps to the terminal pair
-``(SKIP, SKIP)``, which has no moves.
+the pair (contravariance).  ``end``/``end`` is the axiom: in rule order it
+has its one action and no premise, and in Action order it moves to the
+terminal pair ``(SKIP, SKIP)``, which has no moves.
 
 A step reads the two heads' tables, which :mod:`stcheck.lts` compiles
 once per unfolded head and keeps in each node's ``_table`` slot, so it
@@ -75,8 +76,8 @@ counters they produce are pinned by the tests and the benchmark.  Each
 reads its order from the tables (``RULE`` or ``CONT_FIRST``):
 
 * ``inductive`` and ``memoized`` visit them in rule order, payloads
-  before the continuation, and never visit the terminal pair: in the
-  syntactic rules ``end``/``end`` is an axiom, not a move.
+  before the continuation.  Rule order lists a head's premises, of which
+  ``end`` has none, so neither search meets the terminal pair.
 * ``product`` and the pair-graph export visit them in :class:`Action`
   order, the continuation first.
 
@@ -89,11 +90,11 @@ import math
 import time
 from bisect import bisect_left
 from collections import Counter, deque
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import DeadlineExceeded
 from .lts import (
-    CONT_FIRST, HEAD, RULE, SKIP, Action, Node, Table, _END_ACTS, _dot,
+    CONT_FIRST, HEAD, RULE, SKIP, Action, Node, Table, _dot,
     _node_label, _require_closed, _table,
 )
 from .subterms import sub_pair
@@ -107,8 +108,8 @@ __all__ = [
 ]
 
 # The pair walks read the clock once per this many units (a dequeued pair
-# in _pairs, an entered pair in _dfs and _memoized), not once per unit: on
-# CPython a read is a sizeable share of the cost of a warm step.
+# in _pairs, an entered pair in _inductive and _memoized), not once per
+# unit: on CPython a read is a sizeable share of the cost of a warm step.
 _CLOCK_EVERY = 64
 
 COUNTER_KEYS = ("judgements_visited", "memo_entries", "product_nodes",
@@ -136,8 +137,8 @@ def _step(left: Node, right: Node, order: int = RULE):
     payloads swap the pair (contravariance), the continuation does not.
     Otherwise only choices can match: the left's branching labels must all
     exist on the right, the right's selection labels on the left.
-    ``end``/``end`` moves to the terminal pair ``(SKIP, SKIP)``, which
-    has none."""
+    ``end``/``end`` is the axiom: in rule order it has no pair, in Action
+    order the terminal pair ``(SKIP, SKIP)``, which has no moves."""
     a = left._table
     b = right._table
     if not (a and b):
@@ -327,25 +328,21 @@ def _allpairs(t: TypeExpr, u: TypeExpr, deadline: float):
                          "product_edges": edges}
 
 
-def _dfs(t: TypeExpr, u: TypeExpr,
-         deadline: float) -> Tuple[bool, int, int]:
-    """The search of ``inductive``, depth first in rule order: the verdict,
-    the visits and the most assumptions held at once.  A pair is assumed
-    before its step, holds when met again on its path, and its assumption
-    ends when its premises hold, so the assumed pairs are exactly the open
-    path, at most ``max_context_depth`` of them.  They are kept as a set of
-    pair tuples, not in the store of :func:`_pairs`: the set stays small,
-    and each of the exponentially many visits tests it with one lookup.
-    Each stepped pair's premises are kept for the search, so a pair met
-    again after its assumption ended reads them back: :func:`_step` runs
-    once per distinct pair, while the visit count stays exponential.  The
-    deadline is read before the first entered pair (one not assumed when
-    met, re-entries of kept premises included) and then once per
+def _inductive(t: TypeExpr, u: TypeExpr, deadline: float):
+    """The search of ``inductive``, depth first in rule order.  A pair is
+    assumed before its step, holds when met again on its path, and its
+    assumption ends when its premises hold, so the assumed pairs are
+    exactly the open path.  They are one dict of pair tuples in path
+    order, from each open pair to the premise iterator it was taken from:
+    ``popitem`` closes the innermost pair and returns the iterator to
+    resume.  Each stepped pair's premises are kept for the search, so a
+    pair met again after its assumption ended reads them back: :func:`_step`
+    runs once per distinct pair, while the visit count stays exponential.
+    The deadline is read before the first entered pair (one not assumed
+    when met, re-entries of kept premises included) and then once per
     ``_CLOCK_EVERY`` of them."""
-    assumed: Set[Tuple[Node, Node]] = set()  # the pairs on the path
+    assumed: Dict[Tuple[Node, Node], Iterator] = {}  # the open path
     premises: Dict[Tuple[Node, Node], tuple] = {}  # a refuted pair ends it
-    path: List[Tuple[Node, Node]] = []  # the open pairs, in order
-    stack: list = []  # the premise iterator each open pair was taken from
     it = iter(((t, u),))
     visited = depth = tick = 0  # tick: entries left before the next read
     while True:
@@ -358,37 +355,23 @@ def _dfs(t: TypeExpr, u: TypeExpr,
                     raise DeadlineExceeded
                 tick = _CLOCK_EVERY
             tick -= 1
-            assumed.add(pair)
-            stack.append(it)
+            assumed[pair] = it
             if len(assumed) > depth:
                 depth = len(assumed)
-            path.append(pair)
             again = premises.get(pair)
             if again is None:
                 moves = _step(pair[0], pair[1])
                 if moves is None:
-                    return False, visited, depth
-                # end/end is an axiom here: the terminal pair is no premise
-                again = premises[pair] = (
-                    () if moves[0] is _END_ACTS else tuple(moves[1]))
+                    return False, {"judgements_visited": visited,
+                                   "max_context_depth": depth}
+                again = premises[pair] = tuple(moves[1])
             it = iter(again)
             break
-        else:  # every premise of the last open pair holds
-            if not stack:
-                return True, visited, depth
-            assumed.discard(path.pop())
-            it = stack.pop()
-
-
-def _inductive(t: TypeExpr, u: TypeExpr, deadline: float):
-    """Judgement search with path-local assumption contexts.
-
-    A pair already assumed on the current path succeeds immediately; each
-    premise restarts from the same extended context, so work done in one
-    sibling is never reused in the next.
-    """
-    verdict, visited, depth = _dfs(t, u, deadline)
-    return verdict, {"judgements_visited": visited, "max_context_depth": depth}
+        else:  # every premise of the innermost open pair holds
+            if not assumed:
+                return True, {"judgements_visited": visited,
+                              "max_context_depth": depth}
+            it = assumed.popitem()[1]
 
 
 def _memoized(t: TypeExpr, u: TypeExpr, deadline: float):
@@ -396,10 +379,10 @@ def _memoized(t: TypeExpr, u: TypeExpr, deadline: float):
     premises; any failing premise aborts the whole run (no negative
     caching, assumptions are never retracted).
 
-    The loop of :func:`_dfs` without its path: the assumptions are kept
-    for the run, in the pair store of the module docstring.  The deadline
-    is read before the first entered pair (one not assumed when met) and
-    then once per ``_CLOCK_EVERY`` of them."""
+    The loop of :func:`_inductive` without retraction: the assumptions
+    are kept for the run, in the pair store of the module docstring.  The
+    deadline is read before the first entered pair (one not assumed when
+    met) and then once per ``_CLOCK_EVERY`` of them."""
     assumed: Dict[Node, object] = {}
     stack: list = []  # the premise iterator each open pair was taken from
     it = iter(((t, u),))
@@ -429,8 +412,7 @@ def _memoized(t: TypeExpr, u: TypeExpr, deadline: float):
             if moves is None:
                 return False, {"memo_entries": entries,
                                "judgements_visited": visited}
-            # end/end is an axiom here: the terminal pair is no premise
-            it = () if moves[0] is _END_ACTS else moves[1]
+            it = moves[1]
             break
         else:  # every premise of the last open pair holds
             if not stack:

@@ -164,8 +164,7 @@ def var(name: str) -> Var:
     node = _lookup(key)
     if node is not None:
         return node
-    if not isinstance(name, str) or not _VAR_RE.match(name):
-        raise ValueError(f"invalid variable name: {name!r}")
+    _require_name(name)
     return _build(key)
 
 
@@ -192,6 +191,8 @@ def rec(body: TypeExpr) -> Rec:
 
 def mu(name: str, body: TypeExpr) -> Rec:
     """Named recursion: binds free occurrences of ``var(name)`` in *body*."""
+    _require_name(name)
+    _require_types((body,))
     return rec(_rewrite(body, Var,
                         lambda u, d: bvar(d) if u.name == name else u))
 
@@ -239,6 +240,12 @@ def _branch_node(cls, branches):
             raise DuplicateLabelError(f"duplicate label {a!r}")
     _require_types([k for _, k in items])
     return _build(key)
+
+
+def _require_name(name) -> None:
+    """Raise ``ValueError`` unless parse reads *name* as a variable."""
+    if not isinstance(name, str) or not _VAR_RE.match(name):
+        raise ValueError(f"invalid variable name: {name!r}")
 
 
 def _require_types(kids) -> None:

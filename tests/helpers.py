@@ -1,8 +1,8 @@
 """Shared test data and references: the paper's three example types, a
 syntactic widening used to build likely subtype chains, the moves of an
 LTS node read off its unfolding, the top-down subterms read off
-substitution alone, the pair walks over a plain set of pair tuples, and
-the quadratic fit of the acceptance gate.  A plain module, not part of
+substitution alone, the pair walks over a plain set of pair tuples, the
+``inductive`` search over a set, a list and a stack, and the quadratic fit of the acceptance gate.  A plain module, not part of
 ``conftest.py``, so that test files can import it by name while other
 test directories bring their own ``conftest``."""
 
@@ -132,6 +132,38 @@ def set_walks(t: TypeExpr, u: TypeExpr, export: bool = True) -> dict:
             stack.pop()
     return {"product": (stop is None, nodes, edges),
             "memoized": (holds, len(assumed), visited), "dot": dot}
+
+
+def inductive_walk(t: TypeExpr, u: TypeExpr) -> Tuple[bool, int, int]:
+    """The ``inductive`` search of ``(t, u)`` as the textbook states it:
+    the pairs on the path as a set and as a list, a stack of premise
+    iterators, and a step each time a pair is entered, with ``end``/``end``
+    an axiom by its action.  A reference for ``subtyping``, which keeps the
+    path in one dict and each stepped pair's premises; returns the
+    verdict, the visits and the most pairs assumed at once."""
+    assumed = set()
+    path = []
+    stack = [iter(((t, u),))]
+    visited = depth = 0
+    while stack:
+        for pair in stack[-1]:
+            visited += 1
+            if pair not in assumed:
+                assumed.add(pair)
+                path.append(pair)
+                depth = max(depth, len(path))
+                moves = _step(*pair)
+                if moves is None:
+                    return False, visited, depth
+                # end/end is an axiom: it has no premises
+                stack.append(iter(() if moves[0] is _END_ACTS
+                                  else moves[1]))
+                break
+        else:
+            stack.pop()
+            if path:  # the root iterator has no pair
+                assumed.discard(path.pop())
+    return True, visited, depth
 
 
 def fit_quadratic(ks: Sequence[int], ys: Sequence[int]) -> Tuple[float, float]:

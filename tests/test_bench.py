@@ -121,6 +121,10 @@ def test_run_bench_cardinality():
     assert all(r["family"] == "exp" for r in rows)
     assert all(r["verdict"] == 1 for r in rows)
     assert not any(r["timed_out"] for r in rows)
+    # an algorithm named twice still has one row per k
+    twice = records(run_bench("exp", 3, ["product", "memoized", "product"]))
+    assert [{**r, "elapsed_ns": 0} for r in twice] \
+        == [{**r, "elapsed_ns": 0} for r in rows]
 
 
 def test_run_bench_caps_inductive_on_exp():

@@ -13,13 +13,13 @@ import time
 import pytest
 
 import stcheck
-from helpers import set_walks, weaken
+from helpers import inductive_walk, set_walks, weaken
 from stcheck import cache_sizes, clear_caches, subtyping, syntax
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import NotContractiveError, OpenTypeError, StcheckError
 from stcheck.lts import (
-    CONT_FIRST, HEAD, RULE, SKIP, _table, act_end, act_in_cont, act_out_cont,
-    build_lts, in_payload, out_payload, sel_label,
+    CONT_FIRST, HEAD, RULE, SKIP, _END_ACTS, _table, act_end, act_in_cont,
+    act_out_cont, build_lts, in_payload, out_payload, sel_label,
 )
 from stcheck.subtyping import (
     ALGORITHMS, COUNTER_KEYS, DeadlineExceeded, ProductNode,
@@ -73,6 +73,8 @@ def test_skip_only_pairs_with_skip():
 def test_product_successors_end():
     assert product_successors(ProductNode(end(), end())) == [
         (act_end, ProductNode(SKIP, SKIP))]
+    # in rule order end/end is the axiom: its one action, no premise
+    assert stepped(end(), end(), RULE) == (_END_ACTS, ())
 
 
 # product_successors lists the moves in action order: the continuation
@@ -753,15 +755,23 @@ def test_the_per_left_store_matches_a_set_of_pair_tuples():
     # product and memoized keep a left node's one right node, or the set
     # of them from its second: random pairs reach nearly one right node per
     # left node, exp k up to k + 1, and the near-miss pairs are deep; the
-    # export's labels outgrow the pairs on exp, so it is compared to k = 8
+    # export's labels outgrow the pairs on exp, so it is compared to k = 8.
+    # inductive keeps its open path in one dict, each pair's premises and
+    # no end/end premise: it is compared with a set, a list and a stack,
+    # stepping each entered pair, to k = 10, past which its visits explode
     pairs = [random_pair(i, 40) for i in range(2000)]
     for s in range(1500):
         t = gen_random(GenConfig(seed=s, max_size=30))
         pairs.append((t, weaken(t, random.Random(s))))
-    cases = [(pair, True) for pair in pairs]
-    cases += [(gen_blowup_family(k), k <= 8) for k in range(1, 21)]
-    for (left, right), export in cases:
+    cases = [(pair, True, True) for pair in pairs]
+    cases += [(gen_blowup_family(k), k <= 8, k <= 10) for k in range(1, 21)]
+    for (left, right), export, inductive in cases:
         for t, u in ((left, right), (right, left)):
+            if inductive:
+                ind = check(t, u, "inductive")
+                assert (ind.verdict, ind.counters["judgements_visited"],
+                        ind.counters["max_context_depth"]) \
+                    == inductive_walk(t, u), (t, u)
             want = set_walks(t, u, export)
             product = check(t, u, "product")
             memo = check(t, u, "memoized")

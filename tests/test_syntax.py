@@ -109,6 +109,8 @@ def test_factories_validate_on_an_intern_miss():
     for name in ("end", "x", "rec"):
         with pytest.raises(ValueError):
             var(name)
+        with pytest.raises(ValueError):
+            mu(name, var("X"))
     with pytest.raises(DuplicateLabelError):
         branch([("a", end()), ("a", end())])
     with pytest.raises(DuplicateLabelError):
@@ -128,9 +130,15 @@ def test_factories_validate_on_an_intern_miss():
     lambda: select([(1, end()), ("a", end())]),
     lambda: var([]),
     lambda: bvar([]),
+    lambda: mu("X", 5),
+    lambda: mu("X", None),
+    lambda: mu("x", end()),
+    lambda: mu(5, end()),
+    lambda: mu("end", var("X")),
 ], ids=["inp", "out", "rec", "select", "branch", "label", "var",
         "rec-unhashable", "inp-unhashable", "labels-unsortable",
-        "var-unhashable", "bvar-unhashable"])
+        "var-unhashable", "bvar-unhashable", "mu-int-body", "mu-none-body",
+        "mu-lower-name", "mu-int-name", "mu-keyword-name"])
 def test_factories_reject_non_types(build):
     # each call misses: no key holding a non-type is ever interned.  An
     # argument that cannot be hashed or sorted fails the lookup with a
