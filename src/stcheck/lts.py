@@ -25,7 +25,7 @@ constructor, which it reads off the nodes' ``_kind`` without unfolding;
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .errors import OpenTypeError
 from .syntax import (
@@ -38,13 +38,6 @@ __all__ = ["SKIP", "Node", "Action", "TypeLts", "build_lts", "lts_to_dot"]
 
 class Skip:
     """Terminal sink reached by the termination action; not a type."""
-
-    _instance: Optional["Skip"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "SKIP"

@@ -10,16 +10,15 @@ Every node, of every kind, is made by one build step, ``_build(key)``: it
 sets the node's fields from its interning key, works out ``size``,
 ``cutoff``, ``has_fvar``, ``contractive`` and ``_kind`` (the constructor
 at the unfolded head; see :class:`TypeExpr`) in O(1) from the children,
-leaves its head table ``_table`` empty and interns the node.  Library callers construct through the
-factory functions (``end``, ``var``, ``bvar``, ``rec``, ``mu``, ``inp``,
-``out``, ``select``, ``branch``), which look the key up and validate their
-arguments only on a miss, before the build (a key that cannot be hashed,
-or labels that cannot be sorted, count as a miss, so a bad argument gets
-the check's ``ValueError``, not a ``TypeError``); calling the class
-constructors directly bypasses interning and breaks the identity-equality
-invariant.  ``parse`` and ``_rebuild`` form each key themselves, from a
-grammar or a node that has already made the factories' checks, and only
-look it up, building on a miss.
+leaves its head table ``_table`` empty and interns the node.  Library
+callers construct through the factory functions (``end``, ``var``,
+``bvar``, ``rec``, ``mu``, ``inp``, ``out``, ``select``, ``branch``),
+which check their arguments on every call, then look the key up and build
+on a miss; calling the class constructors directly bypasses interning and
+breaks the identity-equality invariant.  ``parse`` and ``_rebuild`` call
+no factory but ``end``: they form each key themselves, from a grammar or
+a node that has already made the factories' checks, and only look it up,
+building on a miss.
 
 The structural operations walk a type with an explicit stack over one
 child listing, ``_children`` (payloads, then the continuation; branches in
@@ -137,11 +136,11 @@ class Branch(TypeExpr):
     __slots__ = ("branches",)
 
 
-# Every factory, parse and _rebuild looks its key up first and builds a node
-# only on a miss: a hit is a node that passed the same checks under the same
-# key.
-# A miss still inserts with dict.setdefault, which is atomic under the GIL
-# and gives lock-free concurrent interning: the first inserted node wins.
+# Every factory checks its arguments and then looks its key up; parse and
+# _rebuild form keys whose checks are already made and only look them up.
+# Each builds a node only on a miss, and inserts it with dict.setdefault,
+# which is atomic under the GIL and gives lock-free concurrent interning:
+# the first inserted node wins.
 _interned: dict = {}
 _END_KEY = (End,)
 
@@ -150,43 +149,25 @@ def end() -> End:
     return _interned.get(_END_KEY) or _build(_END_KEY)
 
 
-def _lookup(key: tuple):
-    """The node interned under *key*, or ``None``: also when *key* cannot
-    be hashed, so that the factory's checks reject the argument."""
-    try:
-        return _interned.get(key)
-    except TypeError:
-        return None
-
-
 def var(name: str) -> Var:
-    key = (Var, name)
-    node = _lookup(key)
-    if node is not None:
-        return node
     _require_name(name)
-    return _build(key)
+    key = (Var, name)
+    return _interned.get(key) or _build(key)
 
 
 def bvar(index: int) -> BoundVar:
-    key = (BoundVar, index)
-    node = _lookup(key)
-    if node is not None:
-        return node
     # 1.0 and True are equal to 1 as keys: only an int may be interned
     if type(index) is not int or index < 0:
         raise ValueError(f"de Bruijn index must be an int >= 0: {index!r}")
-    return _build(key)
+    key = (BoundVar, index)
+    return _interned.get(key) or _build(key)
 
 
 def rec(body: TypeExpr) -> Rec:
     """Nameless recursion binder; ``bvar(0)`` in *body* refers to it."""
-    key = (Rec, body)
-    node = _lookup(key)
-    if node is not None:
-        return node
     _require_types((body,))
-    return _build(key)
+    key = (Rec, body)
+    return _interned.get(key) or _build(key)
 
 
 def mu(name: str, body: TypeExpr) -> Rec:
@@ -199,14 +180,11 @@ def mu(name: str, body: TypeExpr) -> Rec:
 
 def _payload_node(cls, payloads: Iterable[TypeExpr], cont: TypeExpr):
     payloads = tuple(payloads)
-    key = (cls, payloads, cont)
-    node = _lookup(key)
-    if node is not None:
-        return node
     if not payloads:
         raise EmptyArityError("payload list must be non-empty")
     _require_types(payloads + (cont,))
-    return _build(key)
+    key = (cls, payloads, cont)
+    return _interned.get(key) or _build(key)
 
 
 def inp(payloads: Iterable[TypeExpr], cont: TypeExpr) -> Input:
@@ -220,32 +198,33 @@ def out(payloads: Iterable[TypeExpr], cont: TypeExpr) -> Output:
 def _branch_node(cls, branches):
     items = list(branches.items() if isinstance(branches, Mapping)
                  else branches)
-    try:
-        items.sort(key=_BY_LABEL)  # canonical order
-        key = (cls, tuple(items))
-        node = _interned.get(key)
-    except TypeError:  # unsortable labels or an unhashable argument,
-        node = None    # rejected below
-    if node is not None:
-        return node
     if not items:
         raise EmptyArityError("label map must be non-empty")
-    labels = [l for l, _ in items]
-    for l in labels:
+    for l, _ in items:
         if not isinstance(l, str) or not _LABEL_RE.match(l) \
                 or l in _KEYWORDS:
             raise ValueError(f"invalid label: {l!r}")
-    for a, b in zip(labels, labels[1:]):
-        if a == b:
-            raise DuplicateLabelError(f"duplicate label {a!r}")
+    _require_distinct(items)
     _require_types([k for _, k in items])
-    return _build(key)
+    items.sort(key=_BY_LABEL)  # canonical order
+    key = (cls, tuple(items))
+    return _interned.get(key) or _build(key)
 
 
 def _require_name(name) -> None:
     """Raise ``ValueError`` unless parse reads *name* as a variable."""
     if not isinstance(name, str) or not _VAR_RE.match(name):
         raise ValueError(f"invalid variable name: {name!r}")
+
+
+def _require_distinct(items) -> None:
+    """Raise ``DuplicateLabelError`` for the first label of *items* that
+    repeats one before it."""
+    seen = set()
+    for l, _ in items:
+        if l in seen:
+            raise DuplicateLabelError(f"duplicate label {l!r}")
+        seen.add(l)
 
 
 def _require_types(kids) -> None:
@@ -505,11 +484,8 @@ def parse(text: str) -> TypeExpr:
             continue
         elif "A" <= tok[:1] <= "Z":
             levels = scope.get(tok)
-            if levels:
-                index = depth - 1 - levels[-1]
-                node = get((BoundVar, index)) or bvar(index)
-            else:
-                node = var(tok)
+            key = (BoundVar, depth - 1 - levels[-1]) if levels else (Var, tok)
+            node = get(key) or _build(key)
         elif _IDENT_RE.match(tok):
             _fail(text, toks, i - 1, f"unexpected identifier {tok!r} "
                   "(variables start uppercase)", took=True)
@@ -632,11 +608,7 @@ def _duplicate(text: str, toks: list, k: int, items: list) -> None:
     *k*, unless token *k* is a bad character (seen when '}' was consumed)."""
     if _is_bad(toks[k]):
         _fail(text, toks, k, f"unexpected character {toks[k]!r}")
-    seen = set()
-    for l, _ in items:
-        if l in seen:
-            raise DuplicateLabelError(f"duplicate label {l!r}")
-        seen.add(l)
+    _require_distinct(items)
 
 
 def _binder_names(t: TypeExpr) -> Iterator[str]:

@@ -7,7 +7,8 @@ one check path and the node attributes to one build step, one more
 keeps the one-binder unfolding step to the head compile and ``unfold``,
 one keeps the module-level caches to the three that ``cache_sizes``
 reports, of which ``clear_caches`` resets only the head tables, one
-keeps the writes of a node's head-table slot to the compile, the build,
+keeps ``parse`` and ``_rebuild`` off the factories that check their
+arguments, one keeps the writes of a node's head-table slot to the compile, the build,
 the clear and ``SKIP``'s one table, one keeps the test for no deadline
 to ``check``, one keeps the rows of
 ``stcheck bench`` to one loop in the harness, one keeps binder bodies to
@@ -252,6 +253,17 @@ def test_one_node_builder():
                             for target in ast.walk(node)):
                 setters.add((path.stem, node.name))
     assert setters == {("syntax", "_build")}
+
+
+def test_parse_and_rebuild_call_no_checking_factory():
+    # every factory but end checks its arguments on each call: parse and
+    # _rebuild, which every benchmark op runs, form their keys themselves
+    path = pathlib.Path(stcheck.__file__).parent / "syntax.py"
+    checking = {"var", "bvar", "rec", "mu", "inp", "out", "select", "branch"}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef) \
+                and node.name in ("parse", "_rebuild"):
+            assert not checking & set(calls(node)), node.name
 
 
 def test_one_writer_of_head_tables():

@@ -87,8 +87,8 @@ def test_parse_rejects_free_lowercase_head():
 
 
 def test_factories_validate_on_an_intern_miss():
-    # Valid look-alikes are interned first: a factory returns a hit without
-    # validating, so each bad call below must miss and be checked.
+    # Valid look-alikes are interned first: a factory checks its arguments
+    # on every call, hit or miss, so no bad call below may return one.
     select([("a", end())])
     bvar(0)
     var("X")
@@ -102,8 +102,9 @@ def test_factories_validate_on_an_intern_miss():
         select([("A", end())])
     with pytest.raises(ValueError):
         branch([("end", end())])
-    with pytest.raises(ValueError):
-        bvar(-1)
+    for index in (-1, False, 0.0):  # False and 0.0 are equal to 0 as keys
+        with pytest.raises(ValueError):
+            bvar(index)
     # a variable is what parse reads as one: render must not print a
     # keyword or a label where a variable stands
     for name in ("end", "x", "rec"):
@@ -115,6 +116,13 @@ def test_factories_validate_on_an_intern_miss():
         branch([("a", end()), ("a", end())])
     with pytest.raises(DuplicateLabelError):
         branch([("a", end()), ("a", var("X"))])
+    # the first repeat in the caller's order, as parse names it in text order
+    twice = [("b", end()), ("a", end()), ("b", end()), ("a", end())]
+    for build in (select, branch):
+        with pytest.raises(DuplicateLabelError, match="'b'"):
+            build(twice)
+    with pytest.raises(DuplicateLabelError, match="'b'"):
+        parse("&{ b: end, a: end, b: end, a: end }")
 
 
 @pytest.mark.parametrize("build", [
@@ -140,9 +148,9 @@ def test_factories_validate_on_an_intern_miss():
         "var-unhashable", "bvar-unhashable", "mu-int-body", "mu-none-body",
         "mu-lower-name", "mu-int-name", "mu-keyword-name"])
 def test_factories_reject_non_types(build):
-    # each call misses: no key holding a non-type is ever interned.  An
-    # argument that cannot be hashed or sorted fails the lookup with a
-    # TypeError, which the factory turns into its own check's ValueError
+    # a factory checks its arguments before it forms a key, so an argument
+    # that could not be hashed or sorted gets the check's ValueError, never
+    # a TypeError from the lookup or the sort
     with pytest.raises(ValueError):
         build()
 
