@@ -71,15 +71,16 @@ def gen_random(config: GenConfig) -> TypeExpr:
     """
     rng = Random(config.seed)
     budget = rng.randint(1, config.max_size)
-    return _gen(rng, config, budget, guarded=())
+    return _gen(rng, config, budget, depth=0, unguarded=0)
 
 
-def _gen(rng: Random, config: GenConfig, budget: int,
-         guarded: Tuple[bool, ...]) -> TypeExpr:
-    # guarded[i] is True when binder at de Bruijn index i may be referenced
-    usable = [i for i, g in enumerate(guarded) if g]
+def _gen(rng: Random, config: GenConfig, budget: int, depth: int,
+         unguarded: int) -> TypeExpr:
+    # of the depth enclosing binders, the innermost unguarded ones have no
+    # communication constructor below them yet: only de Bruijn indices
+    # unguarded .. depth - 1 may be referenced
     choices = ["end"]
-    if usable:
+    if unguarded < depth:
         choices.append("var")
     if budget >= 2:
         choices.append("rec")
@@ -92,22 +93,19 @@ def _gen(rng: Random, config: GenConfig, budget: int,
     if kind == "end":
         return end()
     if kind == "var":
-        return bvar(rng.choice(usable))
-    if kind == "rec":
-        shifted = (False,) + guarded  # new binder starts unguarded
-        return rec(_gen(rng, config, budget - 1, shifted))
+        return bvar(rng.choice(range(unguarded, depth)))
+    if kind == "rec":  # the new binder starts unguarded
+        return rec(_gen(rng, config, budget - 1, depth + 1, unguarded + 1))
     if kind in ("input", "output"):
         n = rng.randint(1, min(2, budget - 2))  # at most two payloads
         parts = _partition(rng, budget - 1, n + 1)
-        now_guarded = tuple(True for _ in guarded)
-        payloads = [_gen(rng, config, b, now_guarded) for b in parts[:-1]]
-        cont = _gen(rng, config, parts[-1], now_guarded)
+        payloads = [_gen(rng, config, b, depth, 0) for b in parts[:-1]]
+        cont = _gen(rng, config, parts[-1], depth, 0)
         return (inp if kind == "input" else out)(payloads, cont)
     n = rng.randint(1, min(config.max_labels, budget - 1, len(_LABELS)))
     parts = _partition(rng, budget - 1, n)
-    now_guarded = tuple(True for _ in guarded)
     labels = rng.sample(_LABELS[:max(n, config.max_labels)], n)
-    items = [(l, _gen(rng, config, b, now_guarded))
+    items = [(l, _gen(rng, config, b, depth, 0))
              for l, b in zip(sorted(labels), parts)]
     return (select if kind == "select" else branch)(items)
 

@@ -3,19 +3,19 @@
 Nodes are (top-down) subterms plus the distinguished terminal ``SKIP``;
 actions mark termination, payloads, continuations and choice labels.
 
-Each unfolded head is compiled once, on first use, into a table: its kind,
-its payload arity or label tuple, its actions and successors in two
-orders, rule order (``RULE``: payloads before the continuation) and
-:class:`Action` order (``CONT_FIRST``: the continuation first), and the
-head (``HEAD``).  Rule-order successors are the premises of the head's
+Each unfolded head is compiled once, on first use, into a table: its
+payload arity or label tuple, its actions in :class:`Action` order (the
+continuation first), its successors in two orders, rule order (``RULE``:
+payloads before the continuation) and Action order (``CONT_FIRST``), and
+the head (``HEAD``).  Rule-order successors are the premises of the head's
 subtyping rule: ``end``, an axiom, has none, and moves to ``SKIP`` only
-in Action order.  The table sits in the node's ``_table`` slot, as it
-does in every binder stripped on the way, so a type and its unfoldings
-share one: the slots are the one map from a node to its head.  Each
-compiled node is listed in ``_compiled``, whose slots ``clear_caches``
-resets.  The action tuples are shared, for the life of the process, by
-all heads of one kind with one arity or one label tuple, so one identity
-test matches two heads.
+in Action order.  The head's constructor is no field: it is the node's
+``_kind``.  The table sits in the node's ``_table`` slot, as it does in
+every binder stripped on the way, so a type and its unfoldings share one:
+the slots are the one map from a node to its head.  Each compiled node is
+listed in ``_compiled``, whose slots ``clear_caches`` resets.  The action
+tuples are shared, for the life of the process, by all heads of one kind
+with one arity or one label tuple, so one identity test matches two heads.
 :func:`build_lts` reads the tables in Action order and the subtyping
 searches zip two tables; there is no other encoding of a head's moves.  A
 step compiles a missing table only when the two heads may have one
@@ -96,26 +96,26 @@ def action_name(a: Action) -> str:
     return _ACTION_FORMATS[a.kind].format(a.arg)
 
 
-# A compiled head: (kind, arity or label tuple, actions and successors in
-# rule order (the rule's premises: none for end), actions and successors
-# in Action order, the head).
-Table = Tuple[type, object, Tuple[Action, ...], Tuple[Node, ...],
-              Tuple[Action, ...], Tuple[Node, ...], Node]
+# A compiled head: (arity or label tuple, actions in Action order,
+# successors in rule order (the rule's premises: none for end), successors
+# in Action order, the head).  Its constructor is the node's _kind.
+Table = Tuple[object, Tuple[Action, ...], Tuple[Node, ...], Tuple[Node, ...],
+              Node]
 
-# Index of an order's action tuple in a table; its successors follow.
+# Index of an order's successor tuple in a table.
 RULE = 2
-CONT_FIRST = 4
-HEAD = 6  # index of the unfolded head
+CONT_FIRST = 3
+HEAD = 4  # index of the unfolded head
 
 # Each node whose _table slot was set since the last clear_caches.
 _compiled: List[Node] = []
-# (kind, arity or label tuple) -> (rule-order actions, Action-order
-# actions, the key), never cleared: two heads with the same action tuple,
-# by identity, have the same kind and the same arity or labels.
+# (kind, arity or label tuple) -> the actions in Action order, never
+# cleared: two heads with the same action tuple, by identity, have the same
+# kind and the same arity or labels.
 _action_tuples: Dict[tuple, tuple] = {}
 
 _END_ACTS = (act_end,)
-SKIP._table = (Skip, None, (), (), (), (), SKIP)  # never listed or reset
+SKIP._table = (None, (), (), (), SKIP)  # never listed or reset
 
 
 def _table(node: Node) -> Table:
@@ -144,31 +144,29 @@ def _compile(head: TypeExpr) -> Table:
         payloads = head.payloads
         arity = len(payloads)
         acts = _action_tuples.get((kind, arity)) or _share_actions(kind, arity)
-        return (kind, arity, acts[0], payloads + (head.cont,),
-                acts[1], (head.cont,) + payloads, head)
+        return (arity, acts, payloads + (head.cont,), (head.cont,) + payloads,
+                head)
     if kind is Branch or kind is Select:
         labels, succ = zip(*head.branches)
-        acts, _, labels = (_action_tuples.get((kind, labels))
-                           or _share_actions(kind, labels))
-        return (kind, labels, acts, succ, acts, succ, head)
+        acts = (_action_tuples.get((kind, labels))
+                or _share_actions(kind, labels))
+        return (labels, acts, succ, succ, head)
     if kind is End:
-        return (End, None, _END_ACTS, (), _END_ACTS, (SKIP,), head)
+        return (None, _END_ACTS, (), (SKIP,), head)
     raise OpenTypeError(f"type has free variables: {render(head)}")
 
 
-def _share_actions(kind: type, key):
-    """The action tuples in both orders and the key, shared by every head
-    of one kind with one arity or one label tuple."""
+def _share_actions(kind: type, key) -> Tuple[Action, ...]:
+    """The actions in Action order, shared by every head of one kind with
+    one arity or one label tuple."""
     if kind is Input or kind is Output:
         payload, cont = ((in_payload, act_in_cont) if kind is Input
                          else (out_payload, act_out_cont))
-        payloads = tuple(map(payload, range(1, key + 1)))
-        acts = (payloads + (cont,), (cont,) + payloads, key)
+        acts = (cont,) + tuple(map(payload, range(1, key + 1)))
     else:
         acts = tuple(map(bra_label if kind is Branch else sel_label, key))
-        acts = (acts, acts, key)
     # setdefault is atomic under the GIL: threads that build the same
-    # tuples at once all get the first one stored.
+    # tuple at once all get the first one stored.
     return _action_tuples.setdefault((kind, key), acts)
 
 
@@ -213,8 +211,8 @@ def build_lts(t: TypeExpr) -> TypeLts:
         if node in adjacency:
             continue
         table = node._table or _table(node)
-        succ = table[CONT_FIRST + 1]
-        adjacency[node] = dict(zip(table[CONT_FIRST], succ))
+        succ = table[CONT_FIRST]
+        adjacency[node] = dict(zip(table[1], succ))
         for dst in succ:
             if dst not in adjacency:
                 queue.append(dst)

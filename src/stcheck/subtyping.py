@@ -26,11 +26,11 @@ relation:
   there are no parent pointers yet.
 * ``allpairs``   -- the full pair grid with a backward sweep from the
   inconsistent pairs; yields verdicts for every pair of subterms at once.
-  Only same-constructor pairs of unfolded heads are stepped: each once,
-  and the cells before the first doomed one once more, since predecessor
-  lists are kept only from that cell on (a grid with no doomed cell, such
-  as every ``exp`` pair's, builds none).  ``product_edges`` still counts
-  the moves of every cell of the grid.
+  Only same-constructor pairs of unfolded heads are stepped.  A first
+  pass keeps nothing and stops at the first doomed cell; only a grid with
+  one is stepped again in full, keeping predecessor lists (a grid with no
+  doomed cell, such as every ``exp`` pair's, builds none).
+  ``product_edges`` still counts the moves of every cell of the grid.
 
 ``product`` and ``memoized`` keep every pair they reach, quadratically
 many, in one pair store: a dict from each left node to its one right
@@ -73,7 +73,7 @@ missing, two heads of different constructors, read off the nodes'
 
 The searches visit the moves in two orders, and both are kept because the
 counters they produce are pinned by the tests and the benchmark.  Each
-reads its order from the tables (``RULE`` or ``CONT_FIRST``):
+reads its order's successors from the tables (``RULE`` or ``CONT_FIRST``):
 
 * ``inductive`` and ``memoized`` visit them in rule order, payloads
   before the continuation.  Rule order lists a head's premises, of which
@@ -130,8 +130,8 @@ class SubtypeReport(NamedTuple):
 
 def _step(left: Node, right: Node, order: int = RULE):
     """The rules: ``None`` for an inconsistent pair, else its moves as the
-    action tuple and the matched (left, right) successor pairs, both in
-    *order* (``RULE`` or ``CONT_FIRST``).  The pairs are an iterator.
+    action tuple, in Action order, and the matched (left, right) successor
+    pairs, in *order* (``RULE`` or ``CONT_FIRST``), as an iterator.
 
     Two heads with the same action tuple zip their successors; output
     payloads swap the pair (contravariance), the continuation does not.
@@ -150,28 +150,27 @@ def _step(left: Node, right: Node, order: int = RULE):
             return None
         a = a or _table(left)
         b = right._table or _table(right)  # left may have compiled it
-    acts = a[order]
-    if acts is b[order]:
-        if a[0] is Output:
-            moves = list(zip(b[order + 1], a[order + 1]))
+    acts = a[1]
+    if acts is b[1]:
+        if left._kind is Output:
+            moves = list(zip(b[order], a[order]))
             cont = -1 if order == RULE else 0
             moves[cont] = moves[cont][::-1]
             return acts, iter(moves)
-        return acts, zip(a[order + 1], b[order + 1])
-    kind = a[0]
-    if kind is Branch and b[0] is Branch:  # each left label on the right
-        found = _successors(a[1], b)
-        return None if found is None else (a[2], zip(a[3], found))
-    if kind is Select and b[0] is Select:  # each right label on the left
-        found = _successors(b[1], a)
-        return None if found is None else (b[2], zip(found, b[3]))
+        return acts, zip(a[order], b[order])
+    if left._kind is Branch is right._kind:  # each left label on the right
+        found = _successors(a[0], b)
+        return None if found is None else (acts, zip(a[RULE], found))
+    if left._kind is Select is right._kind:  # each right label on the left
+        found = _successors(b[0], a)
+        return None if found is None else (b[1], zip(found, b[RULE]))
     return None
 
 
 def _successors(labels: Tuple[str, ...], table: Table) -> Optional[List[Node]]:
     """The successors of *table* under *labels*, or ``None`` if it lacks
     one of them.  Label tuples are sorted."""
-    have, succ = table[1], table[3]
+    have, succ = table[0], table[RULE]
     found = []
     for label in labels:
         i = bisect_left(have, label)
@@ -256,57 +255,35 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: float):
     on its members and the moves summed over every universe cell (a head
     pair's moves times the multiplicities of its two heads).
 
-    Predecessor lists are kept only from the first doomed cell on, in
-    grid order: before it there is nothing to propagate, and successors
-    are tested on ``_kind``, a compiled member's head's constructor.  If
-    the grid has a doomed cell, the cells before the first one are
-    stepped again, once, to record their edges; none are built otherwise."""
+    Every member's table is compiled first, so its ``_kind`` is its
+    head's constructor.  :func:`_grid_moves` is the first pass; only a grid
+    with a doomed cell gets a second, which keeps predecessor lists."""
     universe = list(sub_pair(t, u)) + [SKIP]
-    # every member's table is compiled here: no grid step is a cold one
     head = {v: (v._table or _table(v))[HEAD] for v in universe}
     count = Counter(head.values())
     groups: Dict[type, List[Tuple[Node, int]]] = {}
     for a, n in count.items():
-        groups.setdefault(type(a), []).append((a, n))
+        groups.setdefault(a._kind, []).append((a, n))
+    edges = _grid_moves(count, groups, deadline)
     doomed: Set[Tuple[Node, Node]] = set()
     reverse: Dict[Tuple[Node, Node], List[Tuple[Node, Node]]] = {}
-    edges = 0
-    for a, m in count.items():
-        if time.perf_counter() > deadline:
-            raise DeadlineExceeded
-        for b, n in groups[type(a)]:
-            moves = _step(a, b)
-            if moves is None:
-                doomed.add((a, b))
-                continue
-            acts, pairs = moves
-            edges += len(acts) * m * n
-            if not doomed:  # keep nothing: a member's _kind is its head's
-                for x, y in pairs:
-                    if x._kind is not y._kind:
-                        doomed.add((a, b))
-                        break
-                continue
-            node = (a, b)
-            for x, y in pairs:
-                x, y = head[x], head[y]
-                if type(x) is not type(y):
-                    doomed.add(node)
-                else:
-                    reverse.setdefault((x, y), []).append(node)
-    if doomed:  # step the cells before the first doomed one again
-        for a in count:
+    if edges is None:
+        edges = 0
+        for a, m in count.items():
             if time.perf_counter() > deadline:
                 raise DeadlineExceeded
-            for b, _ in groups[type(a)]:
+            for b, n in groups[a._kind]:
                 node = (a, b)
-                if node in doomed:
-                    break
-                # not doomed: stepped, with heads of one kind in each pair
-                for x, y in _step(a, b)[1]:
-                    reverse.setdefault((head[x], head[y]), []).append(node)
-            if node in doomed:
-                break
+                moves = _step(a, b)
+                if moves is None:
+                    doomed.add(node)
+                    continue
+                edges += len(moves[0]) * m * n
+                for x, y in moves[1]:
+                    if x._kind is not y._kind:
+                        doomed.add(node)
+                    else:
+                        reverse.setdefault((head[x], head[y]), []).append(node)
     stack = list(doomed)
     while stack:
         for pred in reverse.get(stack.pop(), ()):
@@ -316,9 +293,29 @@ def _sweep(t: TypeExpr, u: TypeExpr, deadline: float):
 
     def holds(left: Node, right: Node) -> bool:
         a, b = head[left], head[right]
-        return type(a) is type(b) and (a, b) not in doomed
+        return a._kind is b._kind and (a, b) not in doomed
 
     return universe, holds, edges
+
+
+def _grid_moves(count: Counter, groups: dict, deadline: float):
+    """The first pass of :func:`_sweep`, which keeps nothing: the moves
+    summed over the grid, or ``None`` at its first doomed cell (one that
+    is inconsistent or has a successor pair of two constructors).  The
+    deadline is read once per row."""
+    edges = 0
+    for a, m in count.items():
+        if time.perf_counter() > deadline:
+            raise DeadlineExceeded
+        for b, n in groups[a._kind]:
+            moves = _step(a, b)
+            if moves is None:
+                return None
+            for x, y in moves[1]:
+                if x._kind is not y._kind:
+                    return None
+            edges += len(moves[0]) * m * n
+    return edges
 
 
 def _allpairs(t: TypeExpr, u: TypeExpr, deadline: float):

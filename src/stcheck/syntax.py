@@ -326,18 +326,24 @@ def _rewrite(t: TypeExpr, cls: type, leaf) -> TypeExpr:
     A leaf ``u`` of class *cls* (``BoundVar`` or ``Var``) at binder depth
     ``d`` within *t* becomes ``leaf(u, d)``.  A subtree without such a leaf
     to change (no index >= ``d``, or no named variable) is kept as it is.
+    A shared subtree is rebuilt once per depth it occurs at, so a DAG
+    costs its distinct (node, depth) pairs, not its unshared size.
     """
     indices = cls is BoundVar
     depth = 0
     done = []    # rebuilt subtrees, in listing order
     todo = [t]   # nodes to enter, or (node, child count, depth) to rebuild
+    rebuilt = {}  # (node, depth) -> its rebuilt subtree
     while todo:
         u = todo.pop()
         if type(u) is tuple:
             u, n, depth = u
             done[-n:] = [_rebuild(u, done[-n:])]
+            rebuilt[u, depth] = done[-1]
         elif u.cutoff <= depth if indices else not u.has_fvar:
             done.append(u)
+        elif (u, depth) in rebuilt:
+            done.append(rebuilt[u, depth])
         else:
             kids = _children(u)
             if kids:

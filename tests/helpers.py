@@ -2,9 +2,11 @@
 syntactic widening used to build likely subtype chains, the moves of an
 LTS node read off its unfolding, the top-down subterms read off
 substitution alone, the pair walks over a plain set of pair tuples, the
-``inductive`` search over a set, a list and a stack, and the quadratic fit of the acceptance gate.  A plain module, not part of
-``conftest.py``, so that test files can import it by name while other
-test directories bring their own ``conftest``."""
+``inductive`` search over a set, a list and a stack, a type whose tree
+is exponentially larger than its DAG, and the quadratic fit of the
+acceptance gate.  A plain module, not part of ``conftest.py``, so that
+test files can import it by name while other test directories bring
+their own ``conftest``."""
 
 import random
 from collections import deque
@@ -24,6 +26,15 @@ T1_TEXT = "rec X . +{ respond: ?[end].X, exit: end }"
 T2_TEXT = "rec X . +{ respond: ?[end].X, exit: end, replicate: ?[X].X }"
 T3_TEXT = ("rec Y . +{ respond: ?[end].Y, exit: end, "
            "replicate: ?[rec X . +{ respond: ?[end].X, exit: end }].Y }")
+
+
+def dag(leaf: TypeExpr, n: int = 40) -> TypeExpr:
+    """``?[b, b].b`` nested *n* times over *leaf* as ``b``: n + 1 distinct
+    nodes, and 3^n leaves were it unshared.  Its text is as long as the
+    tree, so a test must not let a failure report print it."""
+    for _ in range(n):
+        leaf = inp([leaf, leaf], leaf)
+    return leaf
 
 
 def weaken(t: TypeExpr, rng: random.Random, sign: int = 1) -> TypeExpr:

@@ -43,6 +43,15 @@ def test_gen_config_validation():
         GenConfig(seed=0, max_labels=0)
 
 
+def test_blowup_rejects_k_0_and_a_node_shows_its_text():
+    # library lines that no other in-process test runs
+    with pytest.raises(ValueError):
+        gen_blowup_family(0)
+    t = parse("rec X . ?[X].X")
+    assert repr(t) == "<Rec 'rec X . ?[X].X'>"
+    assert str(t) == render(t)
+
+
 def test_random_pair_distinct_streams():
     left, right = random_pair(3, max_size=30)
     assert render(left) != render(right) or left is right

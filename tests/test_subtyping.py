@@ -13,7 +13,7 @@ import time
 import pytest
 
 import stcheck
-from helpers import inductive_walk, set_walks, weaken
+from helpers import dag, inductive_walk, set_walks, weaken
 from stcheck import cache_sizes, clear_caches, subtyping, syntax
 from stcheck.bench import GenConfig, gen_blowup_family, gen_random, random_pair
 from stcheck.errors import NotContractiveError, OpenTypeError, StcheckError
@@ -75,6 +75,15 @@ def test_product_successors_end():
         (act_end, ProductNode(SKIP, SKIP))]
     # in rule order end/end is the axiom: its one action, no premise
     assert stepped(end(), end(), RULE) == (_END_ACTS, ())
+
+
+def test_a_rule_order_step_returns_the_action_order_tuple():
+    # a head keeps one action tuple, in Action order, whatever the order of
+    # the successor pairs
+    node = parse("?[end].end")
+    acts = (act_in_cont, in_payload(1))
+    assert stepped(node, node, RULE) == (acts, ((end(), end()),) * 2)
+    assert subtyping._step(node, node, RULE)[0] is _table(node)[1]
 
 
 # product_successors lists the moves in action order: the continuation
@@ -329,6 +338,21 @@ def test_search_deadline_overshoot_is_bounded():
         assert time.perf_counter() - start - 0.01 < 0.5, algo
 
 
+def test_a_shared_dag_meets_the_deadline():
+    # each cold check unfolds the binder, in time linear in its 41
+    # distinct nodes, not in its 3^40 leaves
+    t = rec(dag(bvar(0)))
+    for algo in ALGORITHMS:
+        clear_caches()
+        gc.collect()  # as in the tests above
+        start = time.perf_counter()
+        try:
+            check(t, t, algo, deadline=start + 0.05)
+        except DeadlineExceeded:
+            pass
+        assert time.perf_counter() - start < 0.5, algo
+
+
 def test_walks_read_the_clock_once_per_64_units(monkeypatch):
     """``product`` reads the clock per 64 dequeued pairs, ``memoized`` and
     ``inductive`` per 64 entered pairs, plus the first read and the two of
@@ -370,8 +394,9 @@ def test_walks_read_the_clock_once_per_64_units(monkeypatch):
 
 def test_allpairs_reads_the_deadline_in_its_second_pass(monkeypatch):
     """The sweep's first pass reads the clock once per row, one row per
-    distinct head; a refuted grid has a doomed cell, so a second pass
-    steps the cells before the first one again and reads it per row too."""
+    distinct head, up to the row of the first doomed cell; a refuted grid
+    has one, so a second pass steps every row and reads it per row too:
+    wherever that cell is, the eighth read falls in the second pass."""
     left, right = random_pair(0, 40)
     universe = [*sub_pair(left, right), SKIP]
     assert len({_table(v)[HEAD] for v in universe}) == 6
@@ -640,7 +665,7 @@ def test_cold_step_matches_warm_step():
         # and the table holds the node's unfolded head
         for node in universe:
             table = _table(node)
-            assert node._kind is table[0], node
+            assert node._kind is type(table[HEAD]), node
             assert table[HEAD] is unfold(node), node
         compiled = cache_sizes()["head_tables"]
         for (left, right, order), moves in cold.items():

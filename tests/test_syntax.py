@@ -24,7 +24,7 @@ from stcheck.syntax import (
     branch, bvar, end, free_names, inp, is_closed, mu, out, parse, rec,
     render, select, shift, size, subst_top, unfold, var,
 )
-from helpers import T1_TEXT, T2_TEXT
+from helpers import T1_TEXT, T2_TEXT, dag
 
 DEEP = 10**5
 DEEP_CHAIN = "?[end]." * DEEP + "end"
@@ -273,6 +273,20 @@ def test_deep_binder_prefix_unfolds():
     for _ in range(n):
         t = rec(t)
     assert within(5.0, unfold, t) is inp([t], end())
+
+
+def test_a_shared_dag_is_rewritten_once_per_node_and_depth():
+    # timed here, not through within(), whose arguments a failure report
+    # would print
+    body = dag(bvar(0))
+    t = rec(body)
+    cases = ((unfold, (t,), dag(t)), (mu, ("X", dag(var("X"))), t),
+             (shift, (body, 1), dag(bvar(1))),
+             (subst_top, (body, end()), dag(end())))
+    for fn, args, expected in cases:
+        start = time.perf_counter()
+        same = fn(*args) is expected
+        assert same and time.perf_counter() - start < 1.0, fn.__name__
 
 
 def test_traversal_results_are_pinned():
